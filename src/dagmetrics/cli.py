@@ -1,9 +1,10 @@
 """Command-line front end: stretch, diameter, layer, check, gen.
 
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
-(parse failures, cycles), 3 usage errors. Human output shows external
-vertex labels only; JSON output follows a fixed-field-order schema and
-is emitted as a single line.
+(parse failures, cycles, input that is not UTF-8), 3 usage errors. A
+stdout closed by its reader ends the run quietly with 0. Human output
+shows external vertex labels only; JSON output follows a
+fixed-field-order schema and is emitted as a single line.
 """
 
 from __future__ import annotations
@@ -69,10 +70,25 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
+    """The input as text; bytes that are not UTF-8 are an input error.
+
+    Bytes are decoded here rather than by the text layer, because stdin
+    under a C or POSIX locale decodes with surrogateescape and would let
+    bad bytes through.
+    """
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+        name = "<stdin>"
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        name = path
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DagError(
+            f"{name}: not UTF-8 text (byte 0x{data[e.start]:02x} at offset {e.start})"
+        ) from None
 
 
 def _load(path: str) -> Dag:
@@ -168,14 +184,7 @@ def _cmd_diameter(args) -> int:
     rows = None
     if args.all_pairs or args.verify:
         rows = metrics.all_pairs_distances(g)[0]
-    verified = None
-    if args.verify:
-        verified = res.diameter == oracle.oracle_diameter(g)
-        if verified:
-            for u in range(g.n):
-                if rows.get(u, {}) != oracle.bfs_distances(g, u):
-                    verified = False
-                    break
+    verified = _verify_diameter(g, res, rows) if args.verify else None
     witness_labels = None
     if res.witness is not None:
         witness_labels = [g.labels[res.witness[0]], g.labels[res.witness[1]]]
@@ -205,6 +214,25 @@ def _cmd_diameter(args) -> int:
             lines.append(_verified_line(verified, None))
         print("\n".join(lines))
     return 0
+
+
+def _verify_diameter(g: Dag, res: metrics.DiameterResult, rows: metrics.DistanceMap) -> bool:
+    """One BFS per source checks the distance rows, the diameter and the
+    witness: the lexicographically smallest pair at the largest distance.
+    """
+    rows_agree = True
+    best = 0
+    witness = None
+    for u in range(g.n):
+        dist = oracle.bfs_distances(g, u)
+        if rows.get(u, {}) != dist:
+            rows_agree = False
+        if dist:
+            far = max(dist.values())
+            if far > best:
+                best = far
+                witness = (u, min(v for v, d in dist.items() if d == far))
+    return rows_agree and res.diameter == best and res.witness == witness
 
 
 def _layer_result(g: Dag, outcome) -> dict:
@@ -355,13 +383,24 @@ def run(argv: list[str] | None = None) -> int:
     except DagError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # stdout closed by the reader; main() ends quietly
     except OSError as e:
         print(str(e), file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (e.g. `head`) has what it wanted. Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,21 @@
 """Longest-path (stretch) and shortest-distance (diameter) analysis.
 
-Both operations return instrumentation counters witnessing the work
-actually performed: stretch evaluates every vertex once and consults
-every edge once, and the all-pairs sweep performs at most |E|*|V|
-distance updates. Counters are fresh per call.
+Every operation returns instrumentation counters witnessing the work
+actually performed; counters are fresh per call.
+
+* ``stretch`` evaluates every vertex once and consults every edge once:
+  exactly |V| vertex evaluations and |E| edge examinations.
+* ``all_pairs_distances`` evaluates every vertex and edge once and
+  performs at most |E|*|V| distance updates.
+* ``diameter`` runs one of two engines, chosen from (|V|, |E|, stretch)
+  alone, and reports that engine's counters:
+
+  - the all-pairs sweep above, with its counters unchanged;
+  - bit-parallel reach rounds, which take diameter+1 rounds (at most
+    stretch+1, since diameter <= stretch). Each round counts |V| vertex
+    evaluations and |E| edge examinations, and distance_updates is the
+    number of reachable ordered pairs, each of whose distance is set
+    once, by the round that first reaches it. That is at most |E|*|V|.
 """
 
 from __future__ import annotations
@@ -118,8 +130,27 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     """Maximum shortest directed distance over all reachable pairs.
 
     0 with no witness when nothing is reachable; otherwise the witness is
-    the lexicographically smallest (u, v) attaining the maximum.
+    the lexicographically smallest (u, v) attaining the maximum. Both
+    engines give the same result; which one runs shows only in the
+    counters (see the module docstring).
     """
+    if g.m and _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch):
+        return _diameter_by_rounds(g)
+    return _diameter_by_all_pairs(g)
+
+
+def _rounds_pay_off(n: int, m: int, longest_path: int) -> bool:
+    """Whether reach rounds are expected to beat the all-pairs sweep.
+
+    Rounds cost about (diameter+1)*(|V|+|E|) big-int ORs and diameter <=
+    stretch; |E|*|V| is the sweep's bound on distance updates. Long
+    chains (stretch near |V|) therefore go to the sweep, and dense
+    graphs with short longest paths to the rounds.
+    """
+    return (longest_path + 1) * (n + m) <= n * m
+
+
+def _diameter_by_all_pairs(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     rows, counters = all_pairs_distances(g)
     best = 0
     witness: tuple[VertexId, VertexId] | None = None
@@ -129,4 +160,48 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
             if row[v] > best:
                 best = row[v]
                 witness = (u, v)
+    return DiameterResult(diameter=best, witness=witness), counters
+
+
+def _diameter_by_rounds(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
+    """Bit-parallel "reach within k" rounds, Python ints as bitsets.
+
+    Bit v of reach[u] after round k means d(u, v) <= k, with
+    R_0(u) = {u} and R_{k+1}(u) = R_k(u) | OR over successors c of R_k(c).
+    Rounds are synchronous (each reads only the previous round), and the
+    first round that changes nothing ends the loop, so the diameter D is
+    the number of rounds that changed something. The pairs at distance
+    exactly D are R_D(u) & ~R_{D-1}(u), and bit order is index order, so
+    the smallest such u and its lowest set bit give the lexicographically
+    smallest witness.
+    """
+    out_adj = g.out_adj
+    reach = [1 << v for v in range(g.n)]
+    before = reach
+    rounds = 0
+    while True:
+        rounds += 1
+        nxt = []
+        append = nxt.append
+        for u in range(g.n):
+            r = reach[u]
+            for c in out_adj[u]:
+                r |= reach[c]
+            append(r)
+        if nxt == reach:
+            break
+        before, reach = reach, nxt
+    best = rounds - 1
+    witness: tuple[VertexId, VertexId] | None = None
+    if best:
+        for u, (now, earlier) in enumerate(zip(reach, before)):
+            fresh = now & ~earlier
+            if fresh:
+                witness = (u, (fresh & -fresh).bit_length() - 1)
+                break
+    counters = InstrumentationCounters(
+        vertex_evaluations=rounds * g.n,
+        edge_examinations=rounds * g.m,
+        distance_updates=sum(r.bit_count() for r in reach) - g.n,
+    )
     return DiameterResult(diameter=best, witness=witness), counters

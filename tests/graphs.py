@@ -1,6 +1,8 @@
 """Shared graph builders for the test suite."""
 
-from dagmetrics import Dag, DagBuildInput, build_dag
+from functools import cache
+
+from dagmetrics import Dag, DagBuildInput, build_dag, gen_random_dag
 
 # Two routes 0->1->3 and 0->2->3 of equal length: balanced, stretch 2.
 DIAMOND = [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")]
@@ -34,3 +36,34 @@ def skewed() -> Dag:
 
 def gap() -> Dag:
     return dag_from_edges(GAP)
+
+
+SMALL_PS = [0.1, 0.2, 0.3, 0.5]
+LARGE_NS = [20, 50, 100, 150, 200]
+LARGE_PS = [0.01, 0.02, 0.05, 0.1]
+
+
+@cache
+def corpus_small():
+    """500 seeded random DAGs with n <= 10 across four edge densities."""
+    graphs = []
+    for i in range(500):
+        n = (i % 10) + 1
+        p = SMALL_PS[i % len(SMALL_PS)]
+        graphs.append(build_dag(gen_random_dag(n, p, seed=i)))
+    return tuple(graphs)
+
+
+@cache
+def corpus_large():
+    """100 sparser random DAGs with n up to 200."""
+    graphs = []
+    for i in range(100):
+        n = LARGE_NS[i % len(LARGE_NS)]
+        p = LARGE_PS[i % len(LARGE_PS)]
+        graphs.append(build_dag(gen_random_dag(n, p, seed=1000 + i)))
+    return tuple(graphs)
+
+
+def analytic_graphs():
+    return [diamond(), skewed(), gap()]

@@ -8,7 +8,6 @@ so a teed log shows the verdict for all nine at a glance.
 import json
 import time
 from contextlib import contextmanager
-from functools import cache
 from pathlib import Path
 
 from dagmetrics import (
@@ -21,7 +20,6 @@ from dagmetrics import (
     cli,
     diameter,
     gen_layered_dag,
-    gen_random_dag,
     layer_pq,
     layer_traversal,
     oracle_all_paths_equal,
@@ -30,40 +28,10 @@ from dagmetrics import (
     oracle_stretch,
     stretch,
 )
-from graphs import diamond, gap, skewed
+from graphs import analytic_graphs, corpus_large, corpus_small, gap, skewed
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
-
-SMALL_PS = [0.1, 0.2, 0.3, 0.5]
-LARGE_NS = [20, 50, 100, 150, 200]
-LARGE_PS = [0.01, 0.02, 0.05, 0.1]
-
-
-@cache
-def corpus_small():
-    """500 seeded random DAGs with n <= 10 across four edge densities."""
-    graphs = []
-    for i in range(500):
-        n = (i % 10) + 1
-        p = SMALL_PS[i % len(SMALL_PS)]
-        graphs.append(build_dag(gen_random_dag(n, p, seed=i)))
-    return tuple(graphs)
-
-
-@cache
-def corpus_large():
-    """100 sparser random DAGs with n up to 200."""
-    graphs = []
-    for i in range(100):
-        n = LARGE_NS[i % len(LARGE_NS)]
-        p = LARGE_PS[i % len(LARGE_PS)]
-        graphs.append(build_dag(gen_random_dag(n, p, seed=1000 + i)))
-    return tuple(graphs)
-
-
-def analytic_graphs():
-    return [diamond(), skewed(), gap()]
 
 
 @contextmanager
@@ -138,9 +106,14 @@ def test_c5_complexity_counters(capsys):
     with criterion(capsys, 5, "instrumentation counters stay within the claimed budgets"):
         for g in list(corpus_small()) + list(corpus_large()) + analytic_graphs():
             if g.n:
-                _, c = stretch(g)
+                sres, c = stretch(g)
                 assert c.vertex_evaluations == g.n
                 assert c.edge_examinations == g.m
+                # either diameter engine: at most stretch+1 rounds
+                _, c = diameter(g)
+                assert c.vertex_evaluations <= (sres.stretch + 1) * g.n
+                assert c.edge_examinations <= (sres.stretch + 1) * g.m
+                assert c.distance_updates <= g.m * g.n
             out, c = layer_traversal(g)
             if isinstance(out, LayerAssignment):
                 assert c.vertex_evaluations == g.n  # every vertex settled once

@@ -1,11 +1,13 @@
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dagmetrics import StretchResult, cli
+from dagmetrics import DiameterResult, StretchResult, cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +90,49 @@ class TestExitCodes:
         assert code == 2
         assert err == "graph has no vertices\n"
 
+    def test_empty_input_to_diameter_exits_zero(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code, out, _ = run_cli(capsys, "diameter", str(empty), "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["diameter"] == 0
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe 1\n")
+        code, out, err = run_cli(capsys, "check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"{bad}: not UTF-8 text (byte 0xff at offset 0)\n"
+
+    def test_non_utf8_stdin_is_input_error(self):
+        # a C locale decodes stdin with surrogateescape, which would let
+        # the bad bytes through if the CLI read text
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagmetrics", "stretch", "-"],
+            input=b"0 1\n\xff\xfe 1\n",
+            capture_output=True,
+            env={**os.environ, "LC_ALL": "C"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"<stdin>: not UTF-8 text (byte 0xff at offset 4)\n"
+
+    def test_closed_stdout_ends_quietly(self):
+        # ~180 kB of output, far more than a pipe buffers, so the writer
+        # is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dagmetrics", "gen", "--n", "2000", "--p", "0.01", "--seed", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first.strip() and err == b""
+
     def test_check_unbalanced_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "check", str(DATA / "skewed.txt"))
         assert code == 1
@@ -145,11 +190,10 @@ class TestStdin:
 
 
 class _FakeStdin:
-    def __init__(self, text):
-        self._text = text
+    """Stands in for sys.stdin; the CLI reads raw bytes from its buffer."""
 
-    def read(self):
-        return self._text
+    def __init__(self, text):
+        self.buffer = io.BytesIO(text.encode("utf-8"))
 
 
 class TestVerify:
@@ -203,6 +247,27 @@ class TestVerify:
 
         monkeypatch.setattr("dagmetrics.metrics.stretch", broken)
         code, out, _ = run_cli(capsys, "stretch", str(DATA / "diamond.txt"), "--json", "--verify")
+        assert code == 0
+        assert json.loads(out)["verified"] is False
+
+    def test_diameter_verify_checks_witness(self, capsys, monkeypatch, tmp_path):
+        # (c, d) is at the right distance but (a, b) sorts first
+        edges = tmp_path / "two_pairs.txt"
+        edges.write_text("a b\nc d\n")
+        code, out, _ = run_cli(capsys, "diameter", str(edges), "--json", "--verify")
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
+        from dagmetrics import metrics
+
+        real = metrics.diameter
+
+        def later_witness(g):
+            res, counters = real(g)
+            return DiameterResult(diameter=res.diameter, witness=(2, 3)), counters
+
+        monkeypatch.setattr("dagmetrics.metrics.diameter", later_witness)
+        code, out, _ = run_cli(capsys, "diameter", str(edges), "--json", "--verify")
         assert code == 0
         assert json.loads(out)["verified"] is False
 

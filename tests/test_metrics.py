@@ -15,7 +15,16 @@ from dagmetrics import (
     sources,
     stretch,
 )
-from graphs import chain, dag_from_edges, diamond, skewed
+from dagmetrics.metrics import _diameter_by_all_pairs, _diameter_by_rounds, _rounds_pay_off
+from graphs import (
+    analytic_graphs,
+    chain,
+    corpus_large,
+    corpus_small,
+    dag_from_edges,
+    diamond,
+    skewed,
+)
 
 
 def random_dag(n, p, seed):
@@ -161,6 +170,64 @@ class TestDiameter:
             g = random_dag(7, 0.35, seed + 700)
             res, _ = diameter(g)
             assert res.diameter == oracle_diameter(g)
+
+
+class TestDiameterEngines:
+    def test_engines_agree_with_oracle(self):
+        for g in list(corpus_small()) + list(corpus_large()) + analytic_graphs():
+            by_all_pairs, _ = _diameter_by_all_pairs(g)
+            by_rounds, _ = _diameter_by_rounds(g)
+            assert by_rounds == by_all_pairs
+            assert by_rounds.diameter == oracle_diameter(g)
+
+    def test_rounds_counters(self):
+        # diameter 2: three rounds, the last one changing nothing; five
+        # reachable pairs, each distance set once
+        res, counters = _diameter_by_rounds(diamond())
+        assert res.diameter == 2 and res.witness == (0, 3)
+        assert counters.vertex_evaluations == 3 * 4
+        assert counters.edge_examinations == 3 * 4
+        assert counters.distance_updates == 5
+
+    def test_chain_takes_all_pairs(self):
+        g = chain(1000)
+        assert not _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch)
+        res, counters = diameter(g)
+        assert res.diameter == 999 and res.witness == (0, 999)
+        assert counters == all_pairs_distances(g)[1]
+
+    def test_dense_random_takes_rounds(self):
+        g = random_dag(1200, 0.025, 1)
+        assert _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch)
+        res, counters = diameter(g)
+        assert res == _diameter_by_all_pairs(g)[0]
+        assert counters.edge_examinations == (res.diameter + 1) * g.m
+
+    def test_empty_graph_skips_stretch(self, monkeypatch):
+        # stretch raises EmptyGraph on n = 0, so the engine choice must
+        # not ask for it; a graph without edges needs no rounds either
+        def no_stretch(g):
+            raise AssertionError("stretch called")
+
+        monkeypatch.setattr("dagmetrics.metrics.stretch", no_stretch)
+        for isolated in ([], ["a", "b"]):
+            res, _ = diameter(build_dag(DagBuildInput(edges=[], isolated=isolated)))
+            assert res.diameter == 0
+            assert res.witness is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_diameter_engines_agree(n, p, seed):
+    g = random_dag(n, p, seed)
+    by_all_pairs, _ = _diameter_by_all_pairs(g)
+    by_rounds, _ = _diameter_by_rounds(g)
+    assert by_rounds == by_all_pairs
+    assert by_rounds.diameter == oracle_diameter(g)
 
 
 @settings(max_examples=60, deadline=None)
