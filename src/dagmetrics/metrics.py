@@ -7,8 +7,9 @@ actually performed; counters are fresh per call.
   exactly |V| vertex evaluations and |E| edge examinations.
 * ``all_pairs_distances`` evaluates every vertex and edge once and
   performs at most |E|*|V| distance updates.
-* ``diameter`` runs one of two engines, chosen from (|V|, |E|, stretch)
-  alone, and reports that engine's counters:
+* ``diameter`` runs one of two engines, chosen from |V|, |E|, stretch
+  and a bound on the sweep's work (see ``_rounds_pay_off``), and reports
+  that engine's counters:
 
   - the all-pairs sweep above, with its counters unchanged;
   - bit-parallel reach rounds, which take diameter+1 rounds (at most
@@ -134,20 +135,54 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     engines give the same result; which one runs shows only in the
     counters (see the module docstring).
     """
-    if g.m and _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch):
+    if g.m and _rounds_pay_off(g.n, g.m, *_engine_inputs(g)):
         return _diameter_by_rounds(g)
     return _diameter_by_all_pairs(g)
 
 
-def _rounds_pay_off(n: int, m: int, longest_path: int) -> bool:
+def _engine_inputs(g: Dag) -> tuple[int, int]:
+    """Stretch and a bound on the sweep's distance updates, in one pass.
+
+    The sweep spends 1 + |desc(c)| updates on each edge (p, c). The
+    number of paths leaving a vertex, capped at |V|-1, bounds its
+    descendant count from above and is exact on forests and chains.
+    """
+    cap = g.n - 1
+    out_adj = g.out_adj
+    lp = [0] * g.n
+    below = [0] * g.n  # capped path count from v, >= |desc(v)|
+    updates = 0
+    for v in reversed(topological_order(g)):
+        best = -1
+        paths = 0
+        for c in out_adj[v]:
+            if lp[c] > best:
+                best = lp[c]
+            paths += 1 + below[c]
+        lp[v] = best + 1
+        below[v] = paths if paths < cap else cap
+        updates += paths
+    return max(lp, default=0), updates
+
+
+def _rounds_pay_off(n: int, m: int, longest_path: int, sweep_updates: int) -> bool:
     """Whether reach rounds are expected to beat the all-pairs sweep.
 
-    Rounds cost about (diameter+1)*(|V|+|E|) big-int ORs and diameter <=
-    stretch; |E|*|V| is the sweep's bound on distance updates. Long
-    chains (stretch near |V|) therefore go to the sweep, and dense
-    graphs with short longest paths to the rounds.
+    Rounds do (diameter+1)*(|V|+|E|) big-int ORs, and diameter <= stretch.
+    Each OR spans ceil(|V|/64) machine words, so on large graphs it costs
+    far more than one sweep update: measured on random DAGs, chains and
+    grids, an OR cost half to one update up to 100 words and five to
+    seven at 313 words, rounded up here to 1 + words/32. The sweep costs
+    sweep_updates, an upper bound on its distance_updates counter.
+
+    So the rounds get graphs with many reachable pairs and short longest
+    paths, such as dense random DAGs. The sweep gets long chains, and
+    graphs with few reachable pairs whatever their stretch, such as
+    large sparse ones: there the rounds' |V|^2 bits of reach sets would
+    cost far more time and memory than the sweep's few updates.
     """
-    return (longest_path + 1) * (n + m) <= n * m
+    words = (n + 63) // 64
+    return (longest_path + 1) * (n + m) * (32 + words) <= 32 * sweep_updates
 
 
 def _diameter_by_all_pairs(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:

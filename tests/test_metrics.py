@@ -15,7 +15,12 @@ from dagmetrics import (
     sources,
     stretch,
 )
-from dagmetrics.metrics import _diameter_by_all_pairs, _diameter_by_rounds, _rounds_pay_off
+from dagmetrics.metrics import (
+    _diameter_by_all_pairs,
+    _diameter_by_rounds,
+    _engine_inputs,
+    _rounds_pay_off,
+)
 from graphs import (
     analytic_graphs,
     chain,
@@ -189,27 +194,52 @@ class TestDiameterEngines:
         assert counters.edge_examinations == 3 * 4
         assert counters.distance_updates == 5
 
+    def test_engine_inputs(self):
+        # chain(n): stretch n-1, and the sweep's updates are exactly the
+        # n(n-1)/2 reachable pairs, so the bound is tight there
+        g = chain(1000)
+        assert _engine_inputs(g) == (999, 999 * 1000 // 2)
+        assert all_pairs_distances(g)[1].distance_updates == 999 * 1000 // 2
+        for g in list(corpus_small()) + analytic_graphs():
+            longest, bound = _engine_inputs(g)
+            assert longest == (stretch(g)[0].stretch if g.n else 0)
+            assert all_pairs_distances(g)[1].distance_updates <= bound <= g.m * g.n
+
     def test_chain_takes_all_pairs(self):
         g = chain(1000)
-        assert not _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch)
+        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g))
         res, counters = diameter(g)
         assert res.diameter == 999 and res.witness == (0, 999)
         assert counters == all_pairs_distances(g)[1]
 
     def test_dense_random_takes_rounds(self):
         g = random_dag(1200, 0.025, 1)
-        assert _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch)
+        assert _rounds_pay_off(g.n, g.m, *_engine_inputs(g))
         res, counters = diameter(g)
         assert res == _diameter_by_all_pairs(g)[0]
         assert counters.edge_examinations == (res.diameter + 1) * g.m
 
+    def test_large_sparse_takes_all_pairs(self):
+        # stretch 1 and |E| reachable pairs: the rounds would hold |V|^2
+        # bits for what the sweep does in |E| updates
+        g = dag_from_edges((f"a{i}", f"b{i}") for i in range(20000))
+        assert _engine_inputs(g) == (1, 20000)
+        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g))
+        res, counters = diameter(g)
+        assert res.diameter == 1 and res.witness == (0, 1)
+        assert counters == all_pairs_distances(g)[1]
+        # the same holds for graphs far too big to build here
+        assert not _rounds_pay_off(10**6, 5 * 10**5, 1, 5 * 10**5)
+        assert not _rounds_pay_off(10**5, 10**5, 10, 10**6)
+
     def test_empty_graph_skips_stretch(self, monkeypatch):
         # stretch raises EmptyGraph on n = 0, so the engine choice must
-        # not ask for it; a graph without edges needs no rounds either
-        def no_stretch(g):
-            raise AssertionError("stretch called")
+        # not run there; a graph without edges needs no rounds either
+        def no_choice(g):
+            raise AssertionError("engine choice made")
 
-        monkeypatch.setattr("dagmetrics.metrics.stretch", no_stretch)
+        monkeypatch.setattr("dagmetrics.metrics.stretch", no_choice)
+        monkeypatch.setattr("dagmetrics.metrics._engine_inputs", no_choice)
         for isolated in ([], ["a", "b"]):
             res, _ = diameter(build_dag(DagBuildInput(edges=[], isolated=isolated)))
             assert res.diameter == 0
