@@ -180,9 +180,13 @@ def _cmd_stretch(args) -> int:
 def _cmd_diameter(args) -> int:
     g = _load(args.file)
     components = len(core.weakly_connected_components(g))
-    res, counters = metrics.diameter(g)
-    rows = None
     if args.all_pairs or args.verify:
+        # The sweep's rows, when it ran, serve both flags: no second sweep.
+        res, counters, rows = metrics._diameter(g)
+    else:
+        res, counters = metrics.diameter(g)
+        rows = None
+    if args.all_pairs and rows is None:
         rows = metrics.all_pairs_distances(g)[0]
     verified = _verify_diameter(g, res, rows) if args.verify else None
     witness_labels = None
@@ -216,16 +220,19 @@ def _cmd_diameter(args) -> int:
     return 0
 
 
-def _verify_diameter(g: Dag, res: metrics.DiameterResult, rows: metrics.DistanceMap) -> bool:
-    """One BFS per source checks the distance rows, the diameter and the
-    witness: the lexicographically smallest pair at the largest distance.
+def _verify_diameter(
+    g: Dag, res: metrics.DiameterResult, rows: metrics.DistanceMap | None
+) -> bool:
+    """One BFS per source checks the diameter, the witness (the
+    lexicographically smallest pair at the largest distance) and, when
+    the command has them, the distance rows.
     """
     rows_agree = True
     best = 0
     witness = None
     for u in range(g.n):
         dist = oracle.bfs_distances(g, u)
-        if rows.get(u, {}) != dist:
+        if rows is not None and rows.get(u, {}) != dist:
             rows_agree = False
         if dist:
             far = max(dist.values())
@@ -235,24 +242,35 @@ def _verify_diameter(g: Dag, res: metrics.DiameterResult, rows: metrics.Distance
     return rows_agree and res.diameter == best and res.witness == witness
 
 
-def _layer_result(g: Dag, outcome) -> dict:
-    if isinstance(outcome, LayerAssignment):
-        groups = defaultdict(list)
-        for v in range(g.n):
-            groups[outcome.layer[v]].append(g.labels[v])
-        layers = [sorted(groups[k]) for k in sorted(groups)]
-        return {"balanced": True, "layers": layers, "witness": None}
-    w: UnbalancedWitness = outcome
+def _layers(g: Dag, assignment: LayerAssignment) -> list[list[str]]:
+    """Labels by layer, each layer sorted.
+
+    Every layer from 0 to the highest is occupied: each component starts
+    at 0 and every edge steps up exactly one layer.
+    """
+    groups: list[list[str]] = [[] for _ in range(max(assignment.layer) + 1)]
+    for label, k in zip(g.labels, assignment.layer):
+        groups[k].append(label)
+    for group in groups:
+        group.sort()
+    return groups
+
+
+def _conflict(g: Dag, w: UnbalancedWitness) -> dict:
     return {
-        "balanced": False,
-        "layers": None,
-        "witness": {
-            "vertex": g.labels[w.vertex],
-            "existing": w.existing_label,
-            "attempted": w.attempted_label,
-            "edge": [g.labels[w.via_edge.u], g.labels[w.via_edge.v]],
-        },
+        "vertex": g.labels[w.vertex],
+        "existing": w.existing_label,
+        "attempted": w.attempted_label,
+        "edge": [g.labels[w.via_edge.u], g.labels[w.via_edge.v]],
     }
+
+
+def _conflict_line(g: Dag, w: UnbalancedWitness) -> str:
+    return (
+        f"conflict at {g.labels[w.vertex]}: existing label {w.existing_label}, "
+        f"attempted {w.attempted_label}, via edge "
+        f"{g.labels[w.via_edge.u]} -> {g.labels[w.via_edge.v]}"
+    )
 
 
 def _verify_layering(g: Dag, outcome) -> bool:
@@ -275,38 +293,30 @@ def _verify_layering(g: Dag, outcome) -> bool:
     return True
 
 
-def _layer_text(g: Dag, components: int, outcome, verify: bool, verified) -> str:
-    lines = [_summary(g, components)]
-    if isinstance(outcome, LayerAssignment):
-        lines.append("balanced: yes")
-        groups = defaultdict(list)
-        for v in range(g.n):
-            groups[outcome.layer[v]].append(g.labels[v])
-        for k in sorted(groups):
-            lines.append(f"layer {k}: " + " ".join(sorted(groups[k])))
-    else:
-        w = outcome
-        lines.append("balanced: no")
-        lines.append(
-            f"conflict at {g.labels[w.vertex]}: existing label {w.existing_label}, "
-            f"attempted {w.attempted_label}, via edge "
-            f"{g.labels[w.via_edge.u]} -> {g.labels[w.via_edge.v]}"
-        )
-    if verify:
-        lines.append(_verified_line(verified, None))
-    return "\n".join(lines)
-
-
 def _cmd_layer(args) -> int:
     g = _load(args.file)
     components = len(core.weakly_connected_components(g))
     algo = layering.layer_pq if args.algo == "pq" else layering.layer_traversal
     outcome, counters = algo(g)
+    balanced = isinstance(outcome, LayerAssignment)
     verified = _verify_layering(g, outcome) if args.verify else None
+    layers = _layers(g, outcome) if balanced else None
     if args.json:
-        _emit_json(_report("layer", g, components, _layer_result(g, outcome), counters, verified))
+        result = {
+            "balanced": balanced,
+            "layers": layers,
+            "witness": None if balanced else _conflict(g, outcome),
+        }
+        _emit_json(_report("layer", g, components, result, counters, verified))
     else:
-        print(_layer_text(g, components, outcome, args.verify, verified))
+        lines = [_summary(g, components), f"balanced: {'yes' if balanced else 'no'}"]
+        if balanced:
+            lines += [f"layer {k}: " + " ".join(names) for k, names in enumerate(layers)]
+        else:
+            lines.append(_conflict_line(g, outcome))
+        if args.verify:
+            lines.append(_verified_line(verified, None))
+        print("\n".join(lines))
     return 0
 
 
@@ -316,19 +326,13 @@ def _cmd_check(args) -> int:
     outcome, counters = layering.layer_traversal(g)
     balanced = isinstance(outcome, LayerAssignment)
     verified = _verify_layering(g, outcome) if args.verify else None
-    result = _layer_result(g, outcome)
-    del result["layers"]
     if args.json:
+        result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
         _emit_json(_report("check", g, components, result, counters, verified))
     else:
         lines = [_summary(g, components), f"balanced: {'yes' if balanced else 'no'}"]
         if not balanced:
-            w = outcome
-            lines.append(
-                f"conflict at {g.labels[w.vertex]}: existing label {w.existing_label}, "
-                f"attempted {w.attempted_label}, via edge "
-                f"{g.labels[w.via_edge.u]} -> {g.labels[w.via_edge.v]}"
-            )
+            lines.append(_conflict_line(g, outcome))
         if args.verify:
             lines.append(_verified_line(verified, None))
         print("\n".join(lines))
@@ -376,7 +380,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:  # --help
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with core._collector_paused():
+            return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3

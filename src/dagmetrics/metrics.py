@@ -135,9 +135,19 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     engines give the same result; which one runs shows only in the
     counters (see the module docstring).
     """
+    res, counters, _ = _diameter(g)
+    return res, counters
+
+
+def _diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters, DistanceMap | None]:
+    """``diameter``, plus the sweep's distance rows when the sweep ran.
+
+    The rows are None when the rounds ran; they keep no distances.
+    """
     if g.m and _rounds_pay_off(g.n, g.m, *_engine_inputs(g)):
-        return _diameter_by_rounds(g)
-    return _diameter_by_all_pairs(g)
+        return (*_diameter_by_rounds(g), None)
+    rows, counters = all_pairs_distances(g)
+    return _diameter_from_rows(rows), counters, rows
 
 
 def _engine_inputs(g: Dag) -> tuple[int, int]:
@@ -187,6 +197,10 @@ def _rounds_pay_off(n: int, m: int, longest_path: int, sweep_updates: int) -> bo
 
 def _diameter_by_all_pairs(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     rows, counters = all_pairs_distances(g)
+    return _diameter_from_rows(rows), counters
+
+
+def _diameter_from_rows(rows: DistanceMap) -> DiameterResult:
     best = 0
     witness: tuple[VertexId, VertexId] | None = None
     for u in sorted(rows):
@@ -195,7 +209,7 @@ def _diameter_by_all_pairs(g: Dag) -> tuple[DiameterResult, InstrumentationCount
             if row[v] > best:
                 best = row[v]
                 witness = (u, v)
-    return DiameterResult(diameter=best, witness=witness), counters
+    return DiameterResult(diameter=best, witness=witness)
 
 
 def _diameter_by_rounds(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -260,16 +261,46 @@ class TestVerify:
 
         from dagmetrics import metrics
 
-        real = metrics.diameter
+        real = metrics._diameter
 
         def later_witness(g):
-            res, counters = real(g)
-            return DiameterResult(diameter=res.diameter, witness=(2, 3)), counters
+            res, counters, rows = real(g)
+            return DiameterResult(diameter=res.diameter, witness=(2, 3)), counters, rows
 
-        monkeypatch.setattr("dagmetrics.metrics.diameter", later_witness)
+        monkeypatch.setattr("dagmetrics.metrics._diameter", later_witness)
         code, out, _ = run_cli(capsys, "diameter", str(edges), "--json", "--verify")
         assert code == 0
         assert json.loads(out)["verified"] is False
+
+    def test_diameter_flags_run_at_most_one_sweep(self, capsys, monkeypatch, tmp_path):
+        # a chain takes the sweep, whose rows both flags reuse; this random
+        # DAG takes the rounds, so only --all-pairs needs a sweep
+        chain = tmp_path / "chain.txt"
+        chain.write_text("".join(f"{i} {i + 1}\n" for i in range(99)))
+        rand = tmp_path / "rand.txt"
+        rand.write_text(run_cli(capsys, "gen", "--n", "35", "--p", "0.3", "--seed", "0")[1])
+
+        from dagmetrics import metrics
+
+        real = metrics.all_pairs_distances
+        sweeps = []
+
+        def counted(g):
+            sweeps.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", counted)
+        for path, flags, expected in [
+            (chain, ["--verify"], 1),
+            (chain, ["--all-pairs", "--verify"], 1),
+            (rand, ["--verify"], 0),
+            (rand, ["--all-pairs", "--verify"], 1),
+        ]:
+            sweeps.clear()
+            code, out, _ = run_cli(capsys, "diameter", str(path), "--json", *flags)
+            assert code == 0
+            assert json.loads(out)["verified"] is True
+            assert len(sweeps) == expected, (path.name, flags)
 
     def test_layer_verify_true_on_balanced(self, capsys):
         code, out, _ = run_cli(capsys, "layer", str(DATA / "two_comps.txt"), "--json", "--verify")
@@ -293,6 +324,21 @@ class TestDeterminism:
         a = run_cli(capsys, "layer", str(DATA / "diamond.txt"), "--json")
         b = run_cli(capsys, "layer", str(DATA / "diamond.txt"), "--json")
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [
+        (["check", str(DATA / "diamond.txt")], 0),
+        (["check", str(DATA / "skewed.txt")], 1),
+        (["stretch", str(DATA / "cyclic.txt")], 2),
+        (["gen", "--n", "3", "--p", "2", "--seed", "1"], 3),
+    ],
+)
+def test_run_restores_collector_state(capsys, collector, argv, expected_code):
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == expected_code
+    assert gc.isenabled() == collector
 
 
 def test_gap_graph_reported_unbalanced(capsys):

@@ -1,8 +1,14 @@
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagmetrics import (
     CycleDetected,
+    Dag,
     DagBuildInput,
+    DagError,
     DuplicateEdge,
     EmptyGraph,
     MalformedLine,
@@ -14,7 +20,135 @@ from dagmetrics import (
     topological_order,
     weakly_connected_components,
 )
+from dagmetrics.core import _collector_paused, _toposort
 from graphs import dag_from_edges, diamond
+
+
+def reference_parse(text: str) -> DagBuildInput:
+    """The line-by-line parser that ``parse_edge_list`` replaced."""
+    edges: list[tuple[str, str]] = []
+    isolated: list[str] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) > 2:
+            raise MalformedLine(
+                lineno, f"expected 'FROM TO' or a single vertex, got {len(tokens)} tokens"
+            )
+        for tok in tokens:
+            if tok.startswith("#"):
+                raise MalformedLine(lineno, f"label may not begin with '#': {tok!r}")
+        if len(tokens) == 2:
+            edges.append((tokens[0], tokens[1]))
+        else:
+            isolated.append(tokens[0])
+    return DagBuildInput(edges=edges, isolated=isolated)
+
+
+def reference_build(inp: DagBuildInput) -> Dag:
+    """The builder as it was before ingest paused the collector."""
+    index_of: dict[str, int] = {}
+    labels: list[str] = []
+    out_adj: list[list[int]] = []
+    in_adj: list[list[int]] = []
+    for a, b in inp.edges:
+        u = index_of.get(a)
+        if u is None:
+            u = len(labels)
+            index_of[a] = u
+            labels.append(a)
+            out_adj.append([])
+            in_adj.append([])
+        v = index_of.get(b)
+        if v is None:
+            v = len(labels)
+            index_of[b] = v
+            labels.append(b)
+            out_adj.append([])
+            in_adj.append([])
+        if u == v:
+            raise SelfLoop(a)
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+    for a in inp.isolated:
+        if a not in index_of:
+            index_of[a] = len(labels)
+            labels.append(a)
+            out_adj.append([])
+            in_adj.append([])
+    m = 0
+    for u, row in enumerate(out_adj):
+        row.sort()
+        m += len(row)
+        for x, y in zip(row, row[1:]):
+            if x == y:
+                raise DuplicateEdge(labels[u], labels[x])
+    for row in in_adj:
+        row.sort()
+    topo = _toposort(out_adj, in_adj, labels)
+    return Dag(n=len(labels), m=m, out_adj=out_adj, in_adj=in_adj, labels=labels,
+               index_of=index_of, topo=topo)
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` returns, or the class and message of the DagError it raises."""
+    try:
+        return fn(arg)
+    except DagError as e:
+        return type(e), str(e)
+
+
+# A few labels, so that self-loops, duplicate edges and cycles are common;
+# "#" and "#a" make comments in first position and bad labels in second.
+TOKENS = st.sampled_from(["a", "b", "c", "d", "é"] * 4 + ["#", "#a"])
+# Mostly edges, so that many soups get as far as build_dag.
+LENGTHS = st.sampled_from([0, 1, 3, 4] + [2] * 24)
+GAPS = st.sampled_from([" ", "\t", " \t "])
+EDGES = st.sampled_from(["", " ", "\t "])  # leading and trailing blanks
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028"])
+
+
+@st.composite
+def token_soups(draw) -> str:
+    """Lines of 0 to 4 tokens (blank, whitespace-only, comment, vertex,
+    edge or too long) joined by any of the line breaks splitlines knows."""
+    text = ""
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        tokens = [draw(TOKENS) for _ in range(draw(LENGTHS))]
+        line = draw(EDGES)
+        for i, tok in enumerate(tokens):
+            line += (draw(GAPS) if i else "") + tok
+        text += line + draw(EDGES) + draw(BREAKS)
+    return text + draw(st.sampled_from(["", "a b", "a"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=token_soups())
+def test_ingest_matches_line_by_line_reference(text):
+    parsed = outcome(parse_edge_list, text)
+    assert parsed == outcome(reference_parse, text)
+    if isinstance(parsed, DagBuildInput):
+        assert outcome(build_dag, parsed) == outcome(reference_build, parsed)
+
+
+class TestCollectorPaused:
+    def test_build_dag_restores_state_after_cycle(self, collector):
+        with pytest.raises(CycleDetected):
+            dag_from_edges([("a", "b"), ("b", "a")])
+        assert gc.isenabled() == collector
+
+    def test_ingest_restores_state(self, collector):
+        build_dag(parse_edge_list("a b\n"))
+        assert gc.isenabled() == collector
+
+    def test_nested_pause_keeps_outer_pause(self, collector):
+        with _collector_paused():
+            with _collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() == collector
 
 
 class TestParseEdgeList:
