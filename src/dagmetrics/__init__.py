@@ -37,7 +37,6 @@ from dagmetrics.layering import (
     check_balanced,
     layer_pq,
     layer_traversal,
-    select_seed,
 )
 from dagmetrics.metrics import (
     DiameterResult,
@@ -95,7 +94,6 @@ __all__ = [
     "oracle_graded",
     "oracle_stretch",
     "parse_edge_list",
-    "select_seed",
     "sinks",
     "sources",
     "stretch",

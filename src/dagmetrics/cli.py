@@ -293,12 +293,20 @@ def _verify_layering(g: Dag, outcome) -> bool:
     return True
 
 
+def _components(g: Dag, outcome) -> int:
+    """Weak component count: a balanced layering carries it, a conflict
+    stops the layering early and leaves it to a pass of its own."""
+    if isinstance(outcome, LayerAssignment):
+        return outcome.components
+    return len(core.weakly_connected_components(g))
+
+
 def _cmd_layer(args) -> int:
     g = _load(args.file)
-    components = len(core.weakly_connected_components(g))
     algo = layering.layer_pq if args.algo == "pq" else layering.layer_traversal
     outcome, counters = algo(g)
     balanced = isinstance(outcome, LayerAssignment)
+    components = _components(g, outcome)
     verified = _verify_layering(g, outcome) if args.verify else None
     layers = _layers(g, outcome) if balanced else None
     if args.json:
@@ -322,9 +330,9 @@ def _cmd_layer(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _load(args.file)
-    components = len(core.weakly_connected_components(g))
     outcome, counters = layering.layer_traversal(g)
     balanced = isinstance(outcome, LayerAssignment)
+    components = _components(g, outcome)
     verified = _verify_layering(g, outcome) if args.verify else None
     if args.json:
         result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}

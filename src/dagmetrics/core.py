@@ -177,15 +177,16 @@ def build_dag(inp: DagBuildInput) -> Dag:
             out_adj.append([])
             in_adj.append([])
 
-    m = 0
-    for u, row in enumerate(out_adj):
-        row.sort()
-        m += len(row)
-        for x, y in zip(row, row[1:]):
-            if x == y:
-                raise DuplicateEdge(labels[u], labels[x])
-    for row in in_adj:
-        row.sort()
+    deque(map(list.sort, out_adj), 0)  # sort every row without a Python-level loop
+    deque(map(list.sort, in_adj), 0)
+    m = sum(map(len, out_adj))
+    if sum(map(len, map(set, out_adj))) != m:
+        # Rows are scanned in index order, so the error names the smallest
+        # source with a duplicate, then its smallest duplicated target.
+        for u, row in enumerate(out_adj):
+            for x, y in zip(row, row[1:]):
+                if x == y:
+                    raise DuplicateEdge(labels[u], labels[x])
 
     topo = _toposort(out_adj, in_adj, labels)
     return Dag(

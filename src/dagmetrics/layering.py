@@ -1,12 +1,21 @@
 """Layer assignment for graded DAGs, with a conflict witness otherwise.
 
 A DAG is layerable here iff a labeling with label(v) = label(u) + 1 on
-every edge exists. Labels within a weak component are forced once the
-seed is fixed, so the two algorithms below (priority-queue propagation
-and depth-first traversal) return bit-identical assignments on layerable
-inputs; each component is normalized so its minimum layer is 0. On
-conflict both report the vertex whose forced label disagrees with the
-label it already carries.
+every edge exists. Both algorithms run one propagation kernel over the
+underlying undirected graph. Each weak component is seeded with label 0
+at its smallest-index vertex that has no label yet; every vertex taken
+from the frontier then gives its unlabeled parents label-1 and its
+unlabeled children label+1, and checks its labeled neighbors. Labels
+within a component are forced once the seed is fixed, so the two
+algorithms return equal assignments on layerable inputs. Components are
+numbered in the order of their smallest vertex, and each is shifted so
+its minimum layer is 0.
+
+The two algorithms differ only in the frontier: ``layer_pq`` takes the
+smallest (label, index) pair from a heap, ``layer_traversal`` the most
+recently labeled vertex from a stack. On conflict each reports the first
+disagreement its frontier meets: the vertex whose label differs from the
+one the edge forces, and that edge.
 """
 
 from __future__ import annotations
@@ -15,14 +24,19 @@ import heapq
 from dataclasses import dataclass
 from typing import Union
 
-from dagmetrics.core import Dag, Edge, EmptyGraph, VertexId, weakly_connected_components
-from dagmetrics.metrics import InstrumentationCounters, stretch
+from dagmetrics.core import Dag, Edge, EmptyGraph, VertexId
+from dagmetrics.metrics import InstrumentationCounters
 
 
 @dataclass
 class LayerAssignment:
     layer: list[int]  # layer[v] = layer[u] + 1 on every edge (u, v)
-    component_of: list[int]
+    component_of: list[int]  # weak component ids 0, 1, ... by smallest vertex
+
+    @property
+    def components(self) -> int:
+        """Number of weak components."""
+        return max(self.component_of) + 1
 
 
 @dataclass
@@ -36,15 +50,18 @@ class UnbalancedWitness:
 LayeringOutcome = Union[LayerAssignment, UnbalancedWitness]
 
 
-def select_seed(g: Dag, component: list[VertexId], lp: list[int]) -> VertexId:
-    """Source vertex of the component with maximal lp, smallest index on ties."""
-    best = -1
-    for v in sorted(component):
-        if g.in_adj[v]:
-            continue
-        if best < 0 or lp[v] > lp[best]:
-            best = v
-    return best
+class _LabelHeap(list):
+    """Frontier of ``layer_pq``: yields the vertex with the smallest (label, index)."""
+
+    def __init__(self, label: list[int | None]):
+        super().__init__()
+        self.label = label
+
+    def append(self, v: VertexId) -> None:
+        heapq.heappush(self, (self.label[v], v))
+
+    def pop(self) -> VertexId:
+        return heapq.heappop(self)[1]
 
 
 def layer_pq(g: Dag) -> tuple[LayeringOutcome, InstrumentationCounters]:
@@ -55,46 +72,7 @@ def layer_pq(g: Dag) -> tuple[LayeringOutcome, InstrumentationCounters]:
     Already-labeled neighbors are verified against the edge constraint.
     vertex_evaluations counts pops (pushes equal pops by construction).
     """
-    if g.n == 0:
-        raise EmptyGraph()
-    lp = stretch(g)[0].lp
-    comps = weakly_connected_components(g)
-    label: list[int | None] = [None] * g.n
-    ve = 0
-    ee = 0
-    for comp in comps:
-        seed = select_seed(g, comp, lp)
-        label[seed] = 0
-        heap: list[tuple[int, VertexId]] = [(0, seed)]
-        while heap:
-            lab, o = heapq.heappop(heap)
-            ve += 1
-            for p in g.in_adj[o]:
-                ee += 1
-                want = lab - 1
-                got = label[p]
-                if got is None:
-                    label[p] = want
-                    heapq.heappush(heap, (want, p))
-                elif got != want:
-                    counters = InstrumentationCounters(
-                        vertex_evaluations=ve, edge_examinations=ee
-                    )
-                    return UnbalancedWitness(p, got, want, Edge(p, o)), counters
-            for c in g.out_adj[o]:
-                ee += 1
-                want = lab + 1
-                got = label[c]
-                if got is None:
-                    label[c] = want
-                    heapq.heappush(heap, (want, c))
-                elif got != want:
-                    counters = InstrumentationCounters(
-                        vertex_evaluations=ve, edge_examinations=ee
-                    )
-                    return UnbalancedWitness(c, got, want, Edge(o, c)), counters
-    counters = InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
-    return _normalize(comps, label, g.n), counters
+    return _propagate(g, by_label=True)
 
 
 def layer_traversal(g: Dag) -> tuple[LayeringOutcome, InstrumentationCounters]:
@@ -104,29 +82,41 @@ def layer_traversal(g: Dag) -> tuple[LayeringOutcome, InstrumentationCounters]:
     of millions of vertices cannot overflow the call stack; every vertex
     is evaluated once and every edge examined at most twice.
     """
+    return _propagate(g, by_label=False)
+
+
+def _propagate(g: Dag, by_label: bool) -> tuple[LayeringOutcome, InstrumentationCounters]:
+    """The kernel of both algorithms; ``by_label`` picks the heap frontier."""
     if g.n == 0:
         raise EmptyGraph()
-    lp = stretch(g)[0].lp
-    comps = weakly_connected_components(g)
-    label: list[int | None] = [None] * g.n
     in_adj, out_adj = g.in_adj, g.out_adj
+    label: list[int | None] = [None] * g.n
+    component_of = [0] * g.n
+    lows: list[int] = []  # lowest label of each component
+    frontier = _LabelHeap(label) if by_label else []
+    push, pop = frontier.append, frontier.pop
     ve = 0
     ee = 0
-    for comp in comps:
-        seed = select_seed(g, comp, lp)
-        label[seed] = 0
-        stack = [seed]
-        while stack:
-            v = stack.pop()
+    for seed in range(g.n):
+        if label[seed] is not None:
+            continue
+        cid = len(lows)
+        low = label[seed] = 0
+        push(seed)
+        while frontier:
+            v = pop()
             ve += 1
+            component_of[v] = cid
             lv = label[v]
+            if lv < low:
+                low = lv
             want = lv - 1
             for p in in_adj[v]:
                 ee += 1
                 got = label[p]
                 if got is None:
                     label[p] = want
-                    stack.append(p)
+                    push(p)
                 elif got != want:
                     counters = InstrumentationCounters(
                         vertex_evaluations=ve, edge_examinations=ee
@@ -138,28 +128,16 @@ def layer_traversal(g: Dag) -> tuple[LayeringOutcome, InstrumentationCounters]:
                 got = label[c]
                 if got is None:
                     label[c] = want
-                    stack.append(c)
+                    push(c)
                 elif got != want:
                     counters = InstrumentationCounters(
                         vertex_evaluations=ve, edge_examinations=ee
                     )
                     return UnbalancedWitness(c, got, want, Edge(v, c)), counters
+        lows.append(low)
     counters = InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
-    return _normalize(comps, label, g.n), counters
-
-
-def _normalize(
-    comps: list[list[VertexId]], label: list[int | None], n: int
-) -> LayerAssignment:
-    """Shift every component so its minimum layer is exactly 0."""
-    layer = [0] * n
-    component_of = [0] * n
-    for cid, comp in enumerate(comps):
-        low = min(label[v] for v in comp)
-        for v in comp:
-            layer[v] = label[v] - low
-            component_of[v] = cid
-    return LayerAssignment(layer=layer, component_of=component_of)
+    layer = [lab - lows[cid] for lab, cid in zip(label, component_of)]
+    return LayerAssignment(layer=layer, component_of=component_of), counters
 
 
 def check_balanced(g: Dag) -> tuple[bool, UnbalancedWitness | None]:

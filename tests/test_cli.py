@@ -4,11 +4,22 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dagmetrics import DiameterResult, StretchResult, cli
+from dagmetrics import (
+    DiameterResult,
+    StretchResult,
+    build_dag,
+    cli,
+    core,
+    parse_edge_list,
+    weakly_connected_components,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -345,3 +356,72 @@ def test_gap_graph_reported_unbalanced(capsys):
     code, out, _ = run_cli(capsys, "check", str(DATA / "gap.txt"), "--json")
     assert code == 1
     assert json.loads(out)["result"]["balanced"] is False
+
+
+class TestComponentCount:
+    """On balanced input layer and check take the count from the layering."""
+
+    COMMANDS = [["layer", "--algo", "pq"], ["layer", "--algo", "traversal"], ["check"]]
+
+    def test_last_vertex_in_first_component(self, capsys, tmp_path):
+        # 4 -> 1 puts the last vertex in component 0, not in the last one
+        path = tmp_path / "late_join.txt"
+        path.write_text("0 1\n2 3\n4 1\n")
+        for argv in self.COMMANDS:
+            code, out, _ = run_cli(capsys, *argv, str(path))
+            assert code == 0
+            assert out.startswith("graph: 5 vertices, 3 edges, 2 components\n")
+            code, out, _ = run_cli(capsys, *argv, str(path), "--json")
+            assert code == 0
+            assert json.loads(out)["input"]["components"] == 2
+
+    def test_balanced_input_runs_no_components_pass(self, capsys, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("components counted twice")
+
+        monkeypatch.setattr(core, "weakly_connected_components", forbidden)
+        for argv in self.COMMANDS:
+            code, out, _ = run_cli(capsys, *argv, str(DATA / "two_comps.txt"), "--json")
+            assert code == 0
+            assert json.loads(out)["input"]["components"] == 2
+
+
+GEN_MODELS = st.one_of(
+    st.tuples(st.integers(min_value=1, max_value=14)).map(lambda t: ["--n", str(t[0])]),
+    st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4)).map(
+        lambda t: ["--layered", str(t[0]), str(t[1])]
+    ),
+)
+
+
+def _run_quiet(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=GEN_MODELS,
+    p=st.sampled_from(["0.0", "0.1", "0.3", "0.6", "1.0"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_every_command_reports_the_component_count(tmp_path_factory, model, p, seed):
+    gen = ["gen", *model, "--p", p, "--seed", str(seed)]
+    code, text = _run_quiet(gen)
+    assert code == 0
+    expected = len(weakly_connected_components(build_dag(parse_edge_list(text))))
+    path = tmp_path_factory.mktemp("gen") / "g.txt"
+    path.write_text(text)
+    for argv in [
+        gen,
+        ["stretch", str(path)],
+        ["diameter", str(path)],
+        ["layer", str(path), "--algo", "pq"],
+        ["layer", str(path), "--algo", "traversal"],
+        ["check", str(path)],
+    ]:
+        code, out = _run_quiet([*argv, "--json"])
+        assert code in (0, 1), argv
+        assert json.loads(out)["input"]["components"] == expected, argv

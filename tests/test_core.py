@@ -217,6 +217,15 @@ class TestBuildDag:
             dag_from_edges([("a", "b"), ("a", "b")])
         assert str(exc.value) == "duplicate edge: a -> b"
 
+    def test_duplicate_edge_names_smallest_source_then_target(self):
+        # indices a0 x1 z2 b3 y4: b's duplicate comes first in the file and
+        # a's duplicate of x last, yet a -> x is the one reported
+        with pytest.raises(DuplicateEdge) as exc:
+            dag_from_edges(
+                [("a", "x"), ("a", "z"), ("b", "y"), ("b", "y"), ("a", "z"), ("a", "x")]
+            )
+        assert str(exc.value) == "duplicate edge: a -> x"
+
     def test_cycle_detected_with_witness(self):
         with pytest.raises(CycleDetected) as exc:
             dag_from_edges([("a", "b"), ("b", "c"), ("c", "a")])

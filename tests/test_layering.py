@@ -4,22 +4,89 @@ from hypothesis import strategies as st
 
 from dagmetrics import (
     DagBuildInput,
+    Edge,
+    InstrumentationCounters,
     LayerAssignment,
     UnbalancedWitness,
     build_dag,
     check_balanced,
+    core,
     gen_layered_dag,
     gen_random_dag,
     layer_pq,
+    layering,
     layer_traversal,
+    metrics,
     oracle_graded,
-    select_seed,
     stretch,
     weakly_connected_components,
 )
 from graphs import chain, dag_from_edges, diamond, gap, skewed
 
 ALGOS = [layer_pq, layer_traversal]
+
+
+def reference_select_seed(g, component, lp):
+    """Source vertex of the component with maximal lp, smallest index on ties."""
+    best = -1
+    for v in sorted(component):
+        if g.in_adj[v]:
+            continue
+        if best < 0 or lp[v] > lp[best]:
+            best = v
+    return best
+
+
+def reference_layer_traversal(g):
+    """``layer_traversal`` before the shared kernel: each weak component
+    seeded at its deepest source (from ``stretch``), then shifted to 0."""
+    lp = stretch(g)[0].lp
+    comps = weakly_connected_components(g)
+    label = [None] * g.n
+    in_adj, out_adj = g.in_adj, g.out_adj
+    ve = 0
+    ee = 0
+    for comp in comps:
+        seed = reference_select_seed(g, comp, lp)
+        label[seed] = 0
+        stack = [seed]
+        while stack:
+            v = stack.pop()
+            ve += 1
+            lv = label[v]
+            want = lv - 1
+            for p in in_adj[v]:
+                ee += 1
+                got = label[p]
+                if got is None:
+                    label[p] = want
+                    stack.append(p)
+                elif got != want:
+                    counters = InstrumentationCounters(
+                        vertex_evaluations=ve, edge_examinations=ee
+                    )
+                    return UnbalancedWitness(p, got, want, Edge(p, v)), counters
+            want = lv + 1
+            for c in out_adj[v]:
+                ee += 1
+                got = label[c]
+                if got is None:
+                    label[c] = want
+                    stack.append(c)
+                elif got != want:
+                    counters = InstrumentationCounters(
+                        vertex_evaluations=ve, edge_examinations=ee
+                    )
+                    return UnbalancedWitness(c, got, want, Edge(v, c)), counters
+    layer = [0] * g.n
+    component_of = [0] * g.n
+    for cid, comp in enumerate(comps):
+        low = min(label[v] for v in comp)
+        for v in comp:
+            layer[v] = label[v] - low
+            component_of[v] = cid
+    counters = InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
+    return LayerAssignment(layer=layer, component_of=component_of), counters
 
 
 def assert_valid_assignment(g, out):
@@ -33,6 +100,14 @@ def assert_valid_assignment(g, out):
         cid = out.component_of[v]
         lows[cid] = min(lows.get(cid, out.layer[v]), out.layer[v])
     assert all(low == 0 for low in lows.values())
+
+
+def assert_real_conflict(g, w):
+    """The witness names an edge of g, one of its endpoints, and two labels."""
+    u, v = w.via_edge
+    assert v in g.out_adj[u]
+    assert w.vertex in (u, v)
+    assert w.existing_label != w.attempted_label
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -60,14 +135,23 @@ class TestBalancedGraphs:
         assert out.component_of == [0, 0, 1]
 
     def test_seed_deeper_than_component_floor(self, algo):
-        # the deepest source ('s', lp=3) starts at 0, but 'sp' sits one
-        # layer above the floor after normalization shifts everything up
+        # the deepest source ('s', lp=3) is not the floor: 'sp' (index 0,
+        # the seed) is, one layer below 's'
         g = dag_from_edges(
             [("sp", "a"), ("a", "b"), ("s", "b"), ("s", "c"), ("c", "d"), ("d", "e")]
         )
         out, _ = algo(g)
         assert out.layer == [0, 1, 2, 1, 2, 3, 4]
         assert_valid_assignment(g, out)
+
+    def test_seed_above_component_floor(self, algo):
+        # the seed 'b' (index 0) gets label 0 and its parent 'a' label -1,
+        # so normalization shifts the component up by one
+        g = dag_from_edges([("b", "c"), ("a", "b"), ("x", "y")])
+        out, _ = algo(g)
+        assert out.layer == [1, 2, 0, 0, 1]
+        assert out.component_of == [0, 0, 0, 1, 1]
+        assert out.components == 2
 
     def test_layered_generator_output_is_balanced(self, algo):
         g = build_dag(gen_layered_dag(6, 3, 0.4, seed=21))
@@ -112,30 +196,12 @@ class TestUnbalancedGraphs:
             out, _ = algo(g)
             if isinstance(out, LayerAssignment):
                 continue
-            u, v = out.via_edge
-            assert v in g.out_adj[u]
-            assert out.vertex in (u, v)
-            assert out.existing_label != out.attempted_label
+            assert_real_conflict(g, out)
 
     def test_gap_graph_unbalanced(self):
         balanced, witness = check_balanced(gap())
         assert not balanced
         assert witness is not None
-
-
-class TestSelectSeed:
-    def test_deepest_source_wins(self):
-        g = dag_from_edges([("a", "b"), ("s", "b"), ("s", "c"), ("c", "d")])
-        res, _ = stretch(g)
-        comp = weakly_connected_components(g)[0]
-        assert select_seed(g, comp, res.lp) == g.index_of["s"]
-
-    def test_tie_breaks_to_smallest_index(self):
-        # sources 'b' (index 0) and 'a' (index 2) both have lp = 1
-        g = dag_from_edges([("b", "x"), ("a", "x")])
-        res, _ = stretch(g)
-        comp = weakly_connected_components(g)[0]
-        assert select_seed(g, comp, res.lp) == 0
 
 
 class TestCheckBalanced:
@@ -179,3 +245,41 @@ def test_both_algorithms_agree(n, p, seed):
         assert a == b
     else:
         assert isinstance(b, UnbalancedWitness)
+
+
+@st.composite
+def generated_graphs(draw):
+    """Random DAGs (mostly unbalanced) and layered DAGs (always balanced)."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    if draw(st.booleans()):
+        return build_dag(gen_random_dag(draw(st.integers(min_value=1, max_value=14)), p, seed))
+    layers = draw(st.integers(min_value=1, max_value=6))
+    width = draw(st.integers(min_value=1, max_value=4))
+    return build_dag(gen_layered_dag(layers, width, p, seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=generated_graphs())
+def test_kernel_matches_stretch_seeded_reference(g):
+    ref, ref_counters = reference_layer_traversal(g)
+    for algo in ALGOS:
+        out, counters = algo(g)
+        assert isinstance(out, LayerAssignment) == isinstance(ref, LayerAssignment)
+        if isinstance(ref, LayerAssignment):
+            assert out == ref
+            assert counters == ref_counters
+        else:
+            assert_real_conflict(g, out)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_layering_runs_no_stretch_and_no_components(algo, monkeypatch):
+    def forbidden(g):
+        raise AssertionError("layering must not call stretch or weakly_connected_components")
+
+    for module in (metrics, core, layering):
+        monkeypatch.setattr(module, "stretch", forbidden, raising=False)
+        monkeypatch.setattr(module, "weakly_connected_components", forbidden, raising=False)
+    for g in [diamond(), skewed(), gap(), chain(5), dag_from_edges([("0", "1")], ["2"])]:
+        algo(g)
