@@ -387,14 +387,15 @@ class TestComponentCount:
 
 
 GEN_MODELS = st.one_of(
-    st.tuples(st.integers(min_value=1, max_value=14)).map(lambda t: ["--n", str(t[0])]),
+    st.integers(min_value=1, max_value=14).map(lambda n: ["--n", str(n)]),
     st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4)).map(
-        lambda t: ["--layered", str(t[0]), str(t[1])]
+        lambda lw: ["--layered", *map(str, lw)]
     ),
 )
 
 
 def _run_quiet(argv: list[str]) -> tuple[int, str]:
+    """``run_cli`` without capsys, which is not reset between Hypothesis examples."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.run(argv)
