@@ -25,6 +25,7 @@ from dagmetrics.core import (
     SelfLoop,
     build_dag,
     parse_edge_list,
+    read_dag,
     sinks,
     sources,
     topological_order,
@@ -94,6 +95,7 @@ __all__ = [
     "oracle_graded",
     "oracle_stretch",
     "parse_edge_list",
+    "read_dag",
     "sinks",
     "sources",
     "stretch",

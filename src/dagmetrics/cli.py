@@ -92,7 +92,7 @@ def _read_text(path: str) -> str:
 
 
 def _load(path: str) -> Dag:
-    return core.build_dag(core.parse_edge_list(_read_text(path)))
+    return core.read_dag(_read_text(path))
 
 
 def _oracle_bound() -> int:

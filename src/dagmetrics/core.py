@@ -12,6 +12,13 @@ collection would find nothing. Yet allocation keeps triggering
 collections, and each full one re-scans every adjacency list of the
 Dag: on a 10^5-vertex chain that was about half of ``build_dag`` and
 most of rendering a layering.
+
+There is one ingest path. ``_scan`` checks the lines and hands each run
+of edge tokens on; ``_Builder`` turns the labels into ids and fills the
+adjacency rows as the runs arrive, then validates. ``read_dag`` joins the
+two directly, so only the first appearance of each label outlives its
+line. ``parse_edge_list`` and ``build_dag`` are the same two halves with
+a list of label pairs between them.
 """
 
 from __future__ import annotations
@@ -19,8 +26,10 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 # Vertices are dense integer indices in [0, n); external labels live in
@@ -112,6 +121,134 @@ def _collector_paused():
             gc.enable()
 
 
+# Lines scanned, and edges added, per run: enough to keep the per-run
+# overhead small, few enough that a run's token strings stay a small
+# buffer rather than a copy of the input.
+_RUN_LINES = 4096
+
+
+def _scan(text: str, feed: Callable[[Iterator[tuple[str, str]]], object]) -> list[str]:
+    """Check every line of edge-list text and return the lone vertices.
+
+    The edges go to ``feed`` as (FROM, TO) pairs, one call per
+    ``_RUN_LINES`` lines. Each run's lines are dropped once scanned, so
+    the memory the lines hold falls as the Dag grows.
+    """
+    isolated: list[str] = []
+    lines = text.splitlines()
+    for first in range(0, len(lines), _RUN_LINES):
+        chunk = lines[first:first + _RUN_LINES]
+        lines[first:first + _RUN_LINES] = repeat(None, len(chunk))
+        run: list[str] = []  # FROM, TO, FROM, TO, ...
+        extend = run.extend
+        for lineno, tokens in enumerate(map(str.split, chunk), start=first + 1):
+            # The common line, an edge, is decided by these two tests alone.
+            if len(tokens) == 2 and tokens[0][0] != "#" and tokens[1][0] != "#":
+                extend(tokens)
+                continue
+            if not tokens or tokens[0][0] == "#":
+                continue
+            if len(tokens) > 2:
+                raise MalformedLine(
+                    lineno, f"expected 'FROM TO' or a single vertex, got {len(tokens)} tokens"
+                )
+            if len(tokens) == 2:  # tokens[0] is no comment, so tokens[1] begins with "#"
+                raise MalformedLine(lineno, f"label may not begin with '#': {tokens[1]!r}")
+            isolated.append(tokens[0])
+        feed(zip(run[0::2], run[1::2]))
+    return isolated
+
+
+class _Builder:
+    """Turns labels into dense ids and fills the adjacency rows as edges
+    arrive, then validates and builds the Dag.
+
+    Only the first appearance of each label is kept, as a key of
+    ``index_of``. The first self-loop is recorded, not raised, so that a
+    malformed line later in the input is still the error reported.
+    """
+
+    def __init__(self) -> None:
+        self.index_of: dict[str, VertexId] = {}
+        self.out_adj: list[list[VertexId]] = []
+        self.in_adj: list[list[VertexId]] = []
+        self.loop: VertexId | None = None  # source of the first self-loop
+
+    def _add_vertex(self, label: str) -> VertexId:
+        """Give a label not seen before the next id and two empty rows."""
+        u = self.index_of[label] = len(self.out_adj)
+        self.out_adj.append([])
+        self.in_adj.append([])
+        return u
+
+    def add_edges(self, edges: Iterable[tuple[str, str]]) -> None:
+        """Add (FROM, TO) label pairs, in input order."""
+        get = self.index_of.get
+        out_adj, in_adj = self.out_adj, self.in_adj
+        for a, b in edges:
+            u = get(a)
+            if u is None:
+                u = self._add_vertex(a)
+            v = get(b)
+            if v is None:
+                v = self._add_vertex(b)
+            if u == v and self.loop is None:
+                self.loop = u
+            out_adj[u].append(v)
+            in_adj[v].append(u)
+
+    def build(self, isolated: list[str]) -> Dag:
+        """Add the lone vertices after every edge, then validate and build.
+
+        Errors come in the order self-loop, duplicate edge, cycle: the
+        first self-loop in edge order, the duplicate at the smallest
+        source and then its smallest target, and the cycle through the
+        smallest vertex left by the toposort.
+        """
+        index_of, out_adj, in_adj = self.index_of, self.out_adj, self.in_adj
+        for a in isolated:
+            if a not in index_of:
+                self._add_vertex(a)
+        labels = list(index_of)
+        if self.loop is not None:
+            raise SelfLoop(labels[self.loop])
+        m = sum(map(len, out_adj))
+        deque(map(list.sort, out_adj), 0)
+        deque(map(list.sort, in_adj), 0)
+        if sum(map(len, map(set, out_adj))) != m:
+            # Rows are scanned in index order, so the error names the smallest
+            # source with a duplicate, then its smallest duplicated target.
+            for u, row in enumerate(out_adj):
+                for x, y in zip(row, row[1:]):
+                    if x == y:
+                        raise DuplicateEdge(labels[u], labels[x])
+
+        topo = _toposort(out_adj, in_adj, labels)
+        return Dag(
+            n=len(labels),
+            m=m,
+            out_adj=out_adj,
+            in_adj=in_adj,
+            labels=labels,
+            index_of=index_of,
+            topo=topo,
+        )
+
+
+@_collector_paused()
+def read_dag(text: str) -> Dag:
+    """Parse edge-list text and build its Dag in one pass over the lines.
+
+    Same checks, errors and result as ``build_dag(parse_edge_list(text))``,
+    without holding a string pair per edge: labels become ids and edges
+    go into the adjacency rows as the lines are scanned, and each run of
+    lines is dropped once scanned, so the rows grow as the lines go.
+    """
+    builder = _Builder()
+    isolated = _scan(text, builder.add_edges)
+    return builder.build(isolated)
+
+
 @_collector_paused()
 def parse_edge_list(text: str) -> DagBuildInput:
     """Parse edge-list text: one "FROM TO" edge or one lone vertex per line.
@@ -119,24 +256,9 @@ def parse_edge_list(text: str) -> DagBuildInput:
     Blank lines are skipped; lines whose first non-blank character is '#'
     are comments. Labels are kept verbatim and may not begin with '#'.
     """
-    flat: list[str] = []  # FROM, TO, FROM, TO, ...
-    isolated: list[str] = []
-    extend = flat.extend
-    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
-        # The common line, an edge, is decided by these two tests alone.
-        if len(tokens) == 2 and tokens[0][0] != "#" and tokens[1][0] != "#":
-            extend(tokens)
-            continue
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if len(tokens) > 2:
-            raise MalformedLine(
-                lineno, f"expected 'FROM TO' or a single vertex, got {len(tokens)} tokens"
-            )
-        if len(tokens) == 2:  # tokens[0] is no comment, so tokens[1] begins with "#"
-            raise MalformedLine(lineno, f"label may not begin with '#': {tokens[1]!r}")
-        isolated.append(tokens[0])
-    return DagBuildInput(edges=list(zip(flat[0::2], flat[1::2])), isolated=isolated)
+    edges: list[tuple[str, str]] = []
+    isolated = _scan(text, edges.extend)
+    return DagBuildInput(edges=edges, isolated=isolated)
 
 
 @_collector_paused()
@@ -146,58 +268,9 @@ def build_dag(inp: DagBuildInput) -> Dag:
     Raises SelfLoop, DuplicateEdge, or CycleDetected on invalid input; a
     Dag is returned only when a full topological order exists.
     """
-    index_of: dict[str, VertexId] = {}
-    labels: list[str] = []
-    out_adj: list[list[VertexId]] = []
-    in_adj: list[list[VertexId]] = []
-
-    for a, b in inp.edges:
-        u = index_of.get(a)
-        if u is None:
-            u = len(labels)
-            index_of[a] = u
-            labels.append(a)
-            out_adj.append([])
-            in_adj.append([])
-        v = index_of.get(b)
-        if v is None:
-            v = len(labels)
-            index_of[b] = v
-            labels.append(b)
-            out_adj.append([])
-            in_adj.append([])
-        if u == v:
-            raise SelfLoop(a)
-        out_adj[u].append(v)
-        in_adj[v].append(u)
-    for a in inp.isolated:
-        if a not in index_of:
-            index_of[a] = len(labels)
-            labels.append(a)
-            out_adj.append([])
-            in_adj.append([])
-
-    deque(map(list.sort, out_adj), 0)  # sort every row without a Python-level loop
-    deque(map(list.sort, in_adj), 0)
-    m = sum(map(len, out_adj))
-    if sum(map(len, map(set, out_adj))) != m:
-        # Rows are scanned in index order, so the error names the smallest
-        # source with a duplicate, then its smallest duplicated target.
-        for u, row in enumerate(out_adj):
-            for x, y in zip(row, row[1:]):
-                if x == y:
-                    raise DuplicateEdge(labels[u], labels[x])
-
-    topo = _toposort(out_adj, in_adj, labels)
-    return Dag(
-        n=len(labels),
-        m=m,
-        out_adj=out_adj,
-        in_adj=in_adj,
-        labels=labels,
-        index_of=index_of,
-        topo=topo,
-    )
+    builder = _Builder()
+    builder.add_edges(inp.edges)
+    return builder.build(inp.isolated)
 
 
 def _toposort(

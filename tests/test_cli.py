@@ -183,6 +183,28 @@ class TestExitCodes:
         assert "stretch" in out and "diameter" in out
 
 
+@pytest.mark.parametrize("source", ["empty-file", "gen-n0-stdin"])
+@pytest.mark.parametrize("command", ["stretch", "diameter", "layer", "check"])
+def test_empty_graph_contract(tmp_path, capsys, monkeypatch, command, source):
+    """A graph with no vertices: diameter reports 0 with no witness and
+    exits 0; every other analysis exits 2 with one error line."""
+    if source == "empty-file":
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        target = str(path)
+    else:
+        code, text, _ = run_cli(capsys, "gen", "--n", "0", "--p", "0.5", "--seed", "1")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", _FakeStdin(text))
+        target = "-"
+    code, out, err = run_cli(capsys, command, target)
+    if command == "diameter":
+        assert (code, err) == (0, "")
+        assert out == "graph: 0 vertices, 0 edges, 0 components\ndiameter: 0\nwitness: none\n"
+    else:
+        assert (code, out, err) == (2, "", "graph has no vertices\n")
+
+
 class TestStdin:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", _FakeStdin("0 1\n1 2\n"))

@@ -1,4 +1,6 @@
 import gc
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,15 @@ from dagmetrics import (
     MalformedLine,
     SelfLoop,
     build_dag,
+    gen_layered_dag,
     parse_edge_list,
+    read_dag,
     sinks,
     sources,
     topological_order,
     weakly_connected_components,
 )
+from dagmetrics import core
 from dagmetrics.core import _collector_paused, _toposort
 from graphs import dag_from_edges, diamond
 
@@ -92,6 +97,10 @@ def reference_build(inp: DagBuildInput) -> Dag:
                index_of=index_of, topo=topo)
 
 
+def reference_read(text: str) -> Dag:
+    return reference_build(reference_parse(text))
+
+
 def outcome(fn, arg):
     """What ``fn(arg)`` returns, or the class and message of the DagError it raises."""
     try:
@@ -124,13 +133,68 @@ def token_soups(draw) -> str:
     return text + draw(st.sampled_from(["", "a b", "a"]))
 
 
+# Lines per ingest run: one and two put run boundaries inside every soup.
+RUN_LINES = [1, 2, core._RUN_LINES]
+
+
 @settings(max_examples=400, deadline=None)
-@given(text=token_soups())
-def test_ingest_matches_line_by_line_reference(text):
-    parsed = outcome(parse_edge_list, text)
-    assert parsed == outcome(reference_parse, text)
-    if isinstance(parsed, DagBuildInput):
-        assert outcome(build_dag, parsed) == outcome(reference_build, parsed)
+@given(text=token_soups(), run_lines=st.sampled_from(RUN_LINES))
+def test_ingest_matches_line_by_line_reference(text, run_lines):
+    with mock.patch.object(core, "_RUN_LINES", run_lines):
+        parsed = outcome(parse_edge_list, text)
+        assert parsed == outcome(reference_parse, text)
+        if isinstance(parsed, DagBuildInput):
+            assert outcome(build_dag, parsed) == outcome(reference_build, parsed)
+        assert outcome(read_dag, text) == outcome(reference_read, text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # the self-loop on line 1 is raised only after the scan, so the
+        # malformed line 2 wins, as it does when parsing comes first
+        ("a a\nb c d\n", (MalformedLine, "line 2: expected 'FROM TO' or a single vertex, got 3 tokens")),
+        # lone vertices are numbered after every edge endpoint
+        ("x\na b\nx y\n", ["a", "b", "x", "y"]),
+        # a self-loop outranks an earlier duplicate edge
+        ("a b\na b\na a\n", (SelfLoop, "self-loop at 'a'")),
+    ],
+)
+@pytest.mark.parametrize("run_lines", RUN_LINES)
+def test_read_dag_pinned_examples(text, expected, run_lines):
+    with mock.patch.object(core, "_RUN_LINES", run_lines):
+        got = outcome(read_dag, text)
+        assert got == outcome(reference_read, text)
+    assert (got.labels if isinstance(got, Dag) else got) == expected
+
+
+def test_read_dag_index_of_is_a_plain_dict():
+    g = read_dag("a b\n")
+    assert type(g.index_of) is dict
+    with pytest.raises(KeyError):
+        g.index_of["c"]
+    assert "c" not in g.index_of and g.n == 2
+
+
+def test_read_dag_peak_memory_within_budget():
+    # Ingest may not hold much more than it keeps: no string pair per
+    # edge beside the adjacency rows. Counted in bytes, not seconds.
+    inp = gen_layered_dag(10001, 2, 1.0, seed=7)
+    text = "".join(f"{a} {b}\n" for a, b in inp.edges)
+    del inp
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        g = read_dag(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert g.n == 20002 and g.m == 40000
+    assert peak - base <= 1.25 * (held - base)
 
 
 class TestCollectorPaused:
@@ -141,6 +205,11 @@ class TestCollectorPaused:
 
     def test_ingest_restores_state(self, collector):
         build_dag(parse_edge_list("a b\n"))
+        assert gc.isenabled() == collector
+
+    def test_read_dag_restores_state_after_error(self, collector):
+        with pytest.raises(MalformedLine):
+            read_dag("a b c\n")
         assert gc.isenabled() == collector
 
     def test_nested_pause_keeps_outer_pause(self, collector):
