@@ -57,6 +57,7 @@ from dagmetrics.oracle import (
     oracle_all_paths_equal,
     oracle_diameter,
     oracle_graded,
+    oracle_layers,
     oracle_stretch,
 )
 
@@ -93,6 +94,7 @@ __all__ = [
     "oracle_all_paths_equal",
     "oracle_diameter",
     "oracle_graded",
+    "oracle_layers",
     "oracle_stretch",
     "parse_edge_list",
     "read_dag",

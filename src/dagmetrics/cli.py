@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
 stdout closed by its reader ends the run quietly with 0. Human output
 shows external vertex labels only; JSON output follows a
 fixed-field-order schema and is emitted as a single line.
+
+`--verify` compares what the command reports with the matching oracle's
+own answer; no checking logic lives here.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from collections import defaultdict
 
 from dagmetrics import core, layering, metrics, oracle
 from dagmetrics.core import Dag, DagError
@@ -74,7 +76,8 @@ def _read_text(path: str) -> str:
 
     Bytes are decoded here rather than by the text layer, because stdin
     under a C or POSIX locale decodes with surrogateescape and would let
-    bad bytes through.
+    bad bytes through. One leading byte-order mark is dropped after
+    decoding, so a bad byte's offset still counts the mark's bytes.
     """
     if path == "-":
         data = sys.stdin.buffer.read()
@@ -84,11 +87,12 @@ def _read_text(path: str) -> str:
             data = fh.read()
         name = path
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DagError(
             f"{name}: not UTF-8 text (byte 0x{data[e.start]:02x} at offset {e.start})"
         ) from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _load(path: str) -> Dag:
@@ -180,15 +184,16 @@ def _cmd_stretch(args) -> int:
 def _cmd_diameter(args) -> int:
     g = _load(args.file)
     components = len(core.weakly_connected_components(g))
-    if args.all_pairs or args.verify:
-        # The sweep's rows, when it ran, serve both flags: no second sweep.
-        res, counters, rows = metrics._diameter(g)
+    if args.all_pairs:
+        # The rows are part of the output, so the sweep is the one engine.
+        rows, counters = metrics.all_pairs_distances(g)
+        res = metrics._diameter_from_rows(rows)
     else:
         res, counters = metrics.diameter(g)
         rows = None
-    if args.all_pairs and rows is None:
-        rows = metrics.all_pairs_distances(g)[0]
-    verified = _verify_diameter(g, res, rows) if args.verify else None
+    verified = None
+    if args.verify:
+        verified = (res.diameter, res.witness, rows) == oracle.bfs_diameter(g, args.all_pairs)
     witness_labels = None
     if res.witness is not None:
         witness_labels = [g.labels[res.witness[0]], g.labels[res.witness[1]]]
@@ -218,28 +223,6 @@ def _cmd_diameter(args) -> int:
             lines.append(_verified_line(verified, None))
         print("\n".join(lines))
     return 0
-
-
-def _verify_diameter(
-    g: Dag, res: metrics.DiameterResult, rows: metrics.DistanceMap | None
-) -> bool:
-    """One BFS per source checks the diameter, the witness (the
-    lexicographically smallest pair at the largest distance) and, when
-    the command has them, the distance rows.
-    """
-    rows_agree = True
-    best = 0
-    witness = None
-    for u in range(g.n):
-        dist = oracle.bfs_distances(g, u)
-        if rows is not None and rows.get(u, {}) != dist:
-            rows_agree = False
-        if dist:
-            far = max(dist.values())
-            if far > best:
-                best = far
-                witness = (u, min(v for v, d in dist.items() if d == far))
-    return rows_agree and res.diameter == best and res.witness == witness
 
 
 def _layers(g: Dag, assignment: LayerAssignment) -> list[list[str]]:
@@ -273,26 +256,6 @@ def _conflict_line(g: Dag, w: UnbalancedWitness) -> str:
     )
 
 
-def _verify_layering(g: Dag, outcome) -> bool:
-    balanced = isinstance(outcome, LayerAssignment)
-    if balanced != oracle.oracle_graded(g):
-        return False
-    if balanced:
-        layer = outcome.layer
-        for u in range(g.n):
-            for v in g.out_adj[u]:
-                if layer[v] != layer[u] + 1:
-                    return False
-        low = defaultdict(lambda: None)
-        for v in range(g.n):
-            cid = outcome.component_of[v]
-            if low[cid] is None or layer[v] < low[cid]:
-                low[cid] = layer[v]
-        if any(x != 0 for x in low.values()):
-            return False
-    return True
-
-
 def _components(g: Dag, outcome) -> int:
     """Weak component count: a balanced layering carries it, a conflict
     stops the layering early and leaves it to a pass of its own."""
@@ -307,7 +270,7 @@ def _cmd_layer(args) -> int:
     outcome, counters = algo(g)
     balanced = isinstance(outcome, LayerAssignment)
     components = _components(g, outcome)
-    verified = _verify_layering(g, outcome) if args.verify else None
+    verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
     layers = _layers(g, outcome) if balanced else None
     if args.json:
         result = {
@@ -333,7 +296,7 @@ def _cmd_check(args) -> int:
     outcome, counters = layering.layer_traversal(g)
     balanced = isinstance(outcome, LayerAssignment)
     components = _components(g, outcome)
-    verified = _verify_layering(g, outcome) if args.verify else None
+    verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
     if args.json:
         result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
         _emit_json(_report("check", g, components, result, counters, verified))

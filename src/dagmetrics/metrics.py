@@ -5,11 +5,12 @@ actually performed; counters are fresh per call.
 
 * ``stretch`` evaluates every vertex once and consults every edge once:
   exactly |V| vertex evaluations and |E| edge examinations.
-* ``all_pairs_distances`` evaluates every vertex and edge once and
-  performs at most |E|*|V| distance updates.
-* ``diameter`` runs one of two engines, chosen from |V|, |E|, stretch
-  and a bound on the sweep's work (see ``_rounds_pay_off``), and reports
-  that engine's counters:
+* ``all_pairs_distances`` evaluates every vertex and edge once. Each
+  edge (p, c) counts 1 + |row of c| distance updates, so there are at
+  most |E|*|V|.
+* ``diameter`` is the one engine dispatcher. It runs one of two engines,
+  chosen from |V|, |E|, stretch and a bound on the sweep's work (see
+  ``_rounds_pay_off``), and reports that engine's counters:
 
   - the all-pairs sweep above, with its counters unchanged;
   - bit-parallel reach rounds, which take diameter+1 rounds (at most
@@ -94,32 +95,32 @@ def all_pairs_distances(g: Dag) -> tuple[DistanceMap, InstrumentationCounters]:
     vertex is reached, every successor's row is final. A vertex's row
     starts from distance 1 to each successor and min-merges each
     successor's row shifted by +1. distance_updates counts every entry
-    touched by those merges and is bounded by |E|*|V|.
+    touched by those merges, 1 + |row of c| for each edge (p, c), and is
+    bounded by |E|*|V|.
     """
     rows: DistanceMap = {}
     ve = 0
     ee = 0
     du = 0
     big = g.n + 1  # larger than any possible distance
+    no_row: dict[int, int] = {}  # sinks have no row
     for p in reversed(topological_order(g)):
         ve += 1
         succs = g.out_adj[p]
         if not succs:
             continue
+        ee += len(succs)
         row: dict[int, int] = {}
         get = row.get
         for c in succs:
-            ee += 1
-            du += 1
             if get(c, big) > 1:
                 row[c] = 1
-            crow = rows.get(c)
-            if crow:
-                for x, dx in crow.items():
-                    du += 1
-                    nd = dx + 1
-                    if nd < get(x, big):
-                        row[x] = nd
+            crow = rows.get(c, no_row)
+            du += 1 + len(crow)
+            for x, dx in crow.items():
+                nd = dx + 1
+                if nd < get(x, big):
+                    row[x] = nd
         rows[p] = row
     counters = InstrumentationCounters(
         vertex_evaluations=ve, edge_examinations=ee, distance_updates=du
@@ -135,19 +136,10 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     engines give the same result; which one runs shows only in the
     counters (see the module docstring).
     """
-    res, counters, _ = _diameter(g)
-    return res, counters
-
-
-def _diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters, DistanceMap | None]:
-    """``diameter``, plus the sweep's distance rows when the sweep ran.
-
-    The rows are None when the rounds ran; they keep no distances.
-    """
     if g.m and _rounds_pay_off(g.n, g.m, *_engine_inputs(g)):
-        return (*_diameter_by_rounds(g), None)
+        return _diameter_by_rounds(g)
     rows, counters = all_pairs_distances(g)
-    return _diameter_from_rows(rows), counters, rows
+    return _diameter_from_rows(rows), counters
 
 
 def _engine_inputs(g: Dag) -> tuple[int, int]:
@@ -193,11 +185,6 @@ def _rounds_pay_off(n: int, m: int, longest_path: int, sweep_updates: int) -> bo
     """
     words = (n + 63) // 64
     return (longest_path + 1) * (n + m) * (32 + words) <= 32 * sweep_updates
-
-
-def _diameter_by_all_pairs(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
-    rows, counters = all_pairs_distances(g)
-    return _diameter_from_rows(rows), counters
 
 
 def _diameter_from_rows(rows: DistanceMap) -> DiameterResult:

@@ -1,10 +1,13 @@
 """Brute-force reference implementations and seeded graph generators.
 
 Everything here exists to double-check the fast algorithms, so none of
-it shares code with `metrics` or `layering`: longest paths come from
-exhaustive enumeration, diameter from per-source BFS, and gradedness
-from an offset-carrying union-find. Enumerations are capped at a small
-vertex count because path counts grow exponentially.
+it shares an algorithm with `metrics` or `layering`: longest paths come
+from exhaustive enumeration, diameter from per-source BFS, and layers
+from an offset-carrying union-find. The diameter and layering oracles
+give the whole answer their commands report (the diameter, its witness
+and, when asked, the distance rows; a `LayerAssignment` or None), so a
+check is one comparison. Enumerations are capped at a small vertex count because path counts
+grow exponentially.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import random
 from collections import Counter, deque
 
 from dagmetrics.core import Dag, DagBuildInput, DagError, VertexId
+from dagmetrics.layering import LayerAssignment
 
 SMALL_GRAPH_BOUND = 12
 
@@ -78,22 +82,46 @@ def bfs_distances(g: Dag, source: VertexId) -> dict[VertexId, int]:
     return dist
 
 
+def bfs_diameter(
+    g: Dag, keep_rows: bool = False
+) -> tuple[int, tuple[VertexId, VertexId] | None, dict[VertexId, dict[VertexId, int]] | None]:
+    """Diameter, witness and (if keep_rows, else None) distance rows, by one BFS per source.
+
+    The witness is the lexicographically smallest pair at the largest
+    distance: the first source whose BFS reaches it, and the smallest
+    vertex there. A source that reaches nothing has no row.
+    """
+    rows = {} if keep_rows else None
+    best = 0
+    witness = None
+    for u in range(g.n):
+        dist = bfs_distances(g, u)
+        if not dist:
+            continue
+        if rows is not None:
+            rows[u] = dist
+        far = max(dist.values())
+        if far > best:
+            best = far
+            witness = (u, min(v for v, d in dist.items() if d == far))
+    return best, witness, rows
+
+
 def oracle_diameter(g: Dag) -> int:
     """Maximum finite BFS distance over all start vertices."""
-    best = 0
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        if dist:
-            best = max(best, max(dist.values()))
-    return best
+    return bfs_diameter(g)[0]
 
 
-def oracle_graded(g: Dag) -> bool:
-    """Whether labels with label(v) = label(u) + 1 on every edge exist.
+def oracle_layers(g: Dag) -> LayerAssignment | None:
+    """The layering with label(v) = label(u) + 1 on every edge, or None.
 
     Decided by union-find carrying label offsets: each edge merges its
     endpoints with relative offset 1, and a merge that closes a group
-    with an inconsistent offset proves infeasibility.
+    with an inconsistent offset proves infeasibility. Otherwise each
+    group is a weak component and the offsets to its root are its
+    labels. Components are numbered in the order of their smallest
+    vertex and shifted so their lowest layer is 0, as the layering
+    algorithms report them.
     """
     parent = list(range(g.n))
     rank = [0] * g.n
@@ -118,7 +146,7 @@ def oracle_graded(g: Dag) -> bool:
             du, dv = offset[u], offset[v]
             if ru == rv:
                 if dv - du != 1:
-                    return False
+                    return None
             elif rank[ru] < rank[rv]:
                 parent[ru] = rv
                 offset[ru] = dv - du - 1
@@ -127,7 +155,21 @@ def oracle_graded(g: Dag) -> bool:
                 offset[rv] = du + 1 - dv
                 if rank[ru] == rank[rv]:
                     rank[ru] += 1
-    return True
+    # after find(v), offset[v] is label(v) - label(root), and a root's is 0
+    root = [find(v) for v in range(g.n)]
+    low: dict[VertexId, int] = {}
+    for v, r in enumerate(root):
+        low[r] = min(low.get(r, 0), offset[v])
+    ids: dict[VertexId, int] = {}
+    return LayerAssignment(
+        layer=[offset[v] - low[r] for v, r in enumerate(root)],
+        component_of=[ids.setdefault(r, len(ids)) for r in root],
+    )
+
+
+def oracle_graded(g: Dag) -> bool:
+    """Whether labels with label(v) = label(u) + 1 on every edge exist."""
+    return oracle_layers(g) is not None
 
 
 def oracle_all_paths_equal(g: Dag, bound: int = SMALL_GRAPH_BOUND) -> bool:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from dagmetrics import (
     DiameterResult,
+    InstrumentationCounters,
+    LayerAssignment,
     StretchResult,
     build_dag,
     cli,
@@ -129,6 +131,28 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr == b"<stdin>: not UTF-8 text (byte 0xff at offset 4)\n"
+
+    def test_byte_order_mark_dropped_from_file(self, tmp_path, capsys):
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbfa b\n")
+        code, out, _ = run_cli(capsys, "stretch", str(marked), "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["witness_source"] == "a"
+
+    def test_byte_order_mark_dropped_from_stdin(self, capsys, monkeypatch):
+        # only one leading mark is dropped; a second one is label text
+        for text, label in [("\ufeffa b\n", "a"), ("\ufeff\ufeffa b\n", "\ufeffa")]:
+            monkeypatch.setattr("sys.stdin", _FakeStdin(text))
+            code, out, _ = run_cli(capsys, "stretch", "-", "--json")
+            assert code == 0
+            assert json.loads(out)["result"]["witness_source"] == label
+
+    def test_bad_byte_after_byte_order_mark_keeps_its_offset(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xef\xbb\xbf\xff")
+        code, out, err = run_cli(capsys, "stretch", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"{bad}: not UTF-8 text (byte 0xff at offset 3)\n"
 
     def test_closed_stdout_ends_quietly(self):
         # ~180 kB of output, far more than a pipe buffers, so the writer
@@ -294,50 +318,75 @@ class TestVerify:
 
         from dagmetrics import metrics
 
-        real = metrics._diameter
+        real = metrics.diameter
 
         def later_witness(g):
-            res, counters, rows = real(g)
-            return DiameterResult(diameter=res.diameter, witness=(2, 3)), counters, rows
+            res, counters = real(g)
+            return DiameterResult(diameter=res.diameter, witness=(2, 3)), counters
 
-        monkeypatch.setattr("dagmetrics.metrics._diameter", later_witness)
+        monkeypatch.setattr("dagmetrics.metrics.diameter", later_witness)
         code, out, _ = run_cli(capsys, "diameter", str(edges), "--json", "--verify")
         assert code == 0
         assert json.loads(out)["verified"] is False
 
     def test_diameter_flags_run_at_most_one_sweep(self, capsys, monkeypatch, tmp_path):
-        # a chain takes the sweep, whose rows both flags reuse; this random
-        # DAG takes the rounds, so only --all-pairs needs a sweep
+        # a chain takes the sweep and this random DAG the rounds; under
+        # --all-pairs the sweep is the one engine on both, and --verify
+        # adds one oracle BFS per vertex
         chain = tmp_path / "chain.txt"
         chain.write_text("".join(f"{i} {i + 1}\n" for i in range(99)))
         rand = tmp_path / "rand.txt"
         rand.write_text(run_cli(capsys, "gen", "--n", "35", "--p", "0.3", "--seed", "0")[1])
 
-        from dagmetrics import metrics
+        from dagmetrics import metrics, oracle
 
-        real = metrics.all_pairs_distances
-        sweeps = []
+        calls = []
 
-        def counted(g):
-            sweeps.append(g.n)
-            return real(g)
+        def counted(name, fn):
+            def wrapper(g, *args):
+                calls.append(name)
+                return fn(g, *args)
 
-        monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", counted)
-        for path, flags, expected in [
-            (chain, ["--verify"], 1),
-            (chain, ["--all-pairs", "--verify"], 1),
-            (rand, ["--verify"], 0),
-            (rand, ["--all-pairs", "--verify"], 1),
+            monkeypatch.setattr(f"dagmetrics.{name}", wrapper)
+
+        counted("metrics.all_pairs_distances", metrics.all_pairs_distances)
+        counted("metrics._diameter_by_rounds", metrics._diameter_by_rounds)
+        counted("oracle.bfs_distances", oracle.bfs_distances)
+        for path, n, flags, engine in [
+            (chain, 100, ["--verify"], "metrics.all_pairs_distances"),
+            (chain, 100, ["--all-pairs", "--verify"], "metrics.all_pairs_distances"),
+            (rand, 35, ["--verify"], "metrics._diameter_by_rounds"),
+            (rand, 35, ["--all-pairs", "--verify"], "metrics.all_pairs_distances"),
+            (rand, 35, ["--all-pairs"], "metrics.all_pairs_distances"),
         ]:
-            sweeps.clear()
+            calls.clear()
             code, out, _ = run_cli(capsys, "diameter", str(path), "--json", *flags)
             assert code == 0
-            assert json.loads(out)["verified"] is True
-            assert len(sweeps) == expected, (path.name, flags)
+            assert json.loads(out)["verified"] is ("--verify" in flags or None)
+            bfs = n if "--verify" in flags else 0
+            assert sorted(calls) == sorted([engine] + ["oracle.bfs_distances"] * bfs), (path.name, flags)
 
     def test_layer_verify_true_on_balanced(self, capsys):
         code, out, _ = run_cli(capsys, "layer", str(DATA / "two_comps.txt"), "--json", "--verify")
         assert json.loads(out)["verified"] is True
+
+    @pytest.mark.parametrize("command", ["layer", "check"])
+    @pytest.mark.parametrize(
+        "layer",
+        [[0, 1, 1], [0, 1, 0]],
+        ids=["wrong-layer", "wrong-component"],
+    )
+    def test_wrong_layering_flips_verified_false(self, capsys, monkeypatch, command, layer):
+        # two_comps.txt is the edge 0 -> 1 and the lone vertex 2, in a
+        # component of its own; both layerings keep 0 -> 1 one step up
+        # and every component floor at 0
+        def wrong(g):
+            return LayerAssignment(layer=layer, component_of=[0, 0, 0]), InstrumentationCounters()
+
+        monkeypatch.setattr("dagmetrics.layering.layer_traversal", wrong)
+        code, out, _ = run_cli(capsys, command, str(DATA / "two_comps.txt"), "--verify")
+        assert code == 0
+        assert out.splitlines()[-1] == "verified: false"
 
     def test_gen_layered_verify(self, capsys):
         code, out, _ = run_cli(

@@ -16,8 +16,8 @@ from dagmetrics import (
     stretch,
 )
 from dagmetrics.metrics import (
-    _diameter_by_all_pairs,
     _diameter_by_rounds,
+    _diameter_from_rows,
     _engine_inputs,
     _rounds_pay_off,
 )
@@ -180,7 +180,7 @@ class TestDiameter:
 class TestDiameterEngines:
     def test_engines_agree_with_oracle(self):
         for g in list(corpus_small()) + list(corpus_large()) + analytic_graphs():
-            by_all_pairs, _ = _diameter_by_all_pairs(g)
+            by_all_pairs = _diameter_from_rows(all_pairs_distances(g)[0])
             by_rounds, _ = _diameter_by_rounds(g)
             assert by_rounds == by_all_pairs
             assert by_rounds.diameter == oracle_diameter(g)
@@ -216,7 +216,7 @@ class TestDiameterEngines:
         g = random_dag(1200, 0.025, 1)
         assert _rounds_pay_off(g.n, g.m, *_engine_inputs(g))
         res, counters = diameter(g)
-        assert res == _diameter_by_all_pairs(g)[0]
+        assert res == _diameter_from_rows(all_pairs_distances(g)[0])
         assert counters.edge_examinations == (res.diameter + 1) * g.m
 
     def test_large_sparse_takes_all_pairs(self):
@@ -254,7 +254,7 @@ class TestDiameterEngines:
 )
 def test_diameter_engines_agree(n, p, seed):
     g = random_dag(n, p, seed)
-    by_all_pairs, _ = _diameter_by_all_pairs(g)
+    by_all_pairs = _diameter_from_rows(all_pairs_distances(g)[0])
     by_rounds, _ = _diameter_by_rounds(g)
     assert by_rounds == by_all_pairs
     assert by_rounds.diameter == oracle_diameter(g)

@@ -5,20 +5,33 @@ import pytest
 
 from dagmetrics import (
     DagBuildInput,
+    LayerAssignment,
     TooLarge,
     build_dag,
     enumerate_path_lengths,
     gen_layered_dag,
     gen_random_dag,
+    layer_traversal,
     oracle_all_paths_equal,
     oracle_diameter,
     oracle_graded,
+    oracle_layers,
     oracle_stretch,
     sinks,
     sources,
     topological_order,
 )
-from graphs import chain, dag_from_edges, diamond, gap, skewed
+from dagmetrics.oracle import bfs_diameter
+from graphs import (
+    analytic_graphs,
+    chain,
+    corpus_large,
+    corpus_small,
+    dag_from_edges,
+    diamond,
+    gap,
+    skewed,
+)
 
 
 class TestEnumeratePathLengths:
@@ -70,6 +83,48 @@ class TestOracleDiameter:
     def test_edgeless(self):
         g = build_dag(DagBuildInput(edges=[], isolated=["a"]))
         assert oracle_diameter(g) == 0
+
+
+class TestBfsDiameter:
+    def test_diamond(self):
+        rows = {0: {1: 1, 2: 1, 3: 2}, 1: {3: 1}, 2: {3: 1}}
+        assert bfs_diameter(diamond(), keep_rows=True) == (2, (0, 3), rows)
+        assert bfs_diameter(diamond()) == (2, (0, 3), None)
+
+    def test_witness_is_lexicographically_smallest(self):
+        # (c, d) is as far apart as (a, b), which sorts first
+        assert bfs_diameter(dag_from_edges([("a", "b"), ("c", "d")])) == (1, (0, 1), None)
+        # from 0, both 1 and 2 are at distance 1 on the skewed graph
+        assert bfs_diameter(skewed()) == (1, (0, 1), None)
+
+    def test_edgeless(self):
+        g = build_dag(DagBuildInput(edges=[], isolated=["a"]))
+        assert bfs_diameter(g, keep_rows=True) == (0, None, {})
+
+
+class TestOracleLayers:
+    def test_diamond(self):
+        assert oracle_layers(diamond()) == LayerAssignment(layer=[0, 1, 1, 2], component_of=[0, 0, 0, 0])
+
+    def test_components_numbered_by_smallest_vertex(self):
+        # a b x y c z: {a, b, c}, {x, y} and {z}, each with floor 0
+        g = dag_from_edges([("a", "b"), ("x", "y"), ("c", "b")], isolated=["z"])
+        assert oracle_layers(g) == LayerAssignment(
+            layer=[0, 1, 0, 1, 0, 0], component_of=[0, 0, 1, 1, 0, 2]
+        )
+
+    def test_unbalanced_is_none(self):
+        for g in (skewed(), gap()):
+            assert oracle_layers(g) is None
+
+    def test_matches_layer_traversal(self):
+        layered = [
+            build_dag(gen_layered_dag(layers, width, p, seed))
+            for seed, (layers, width, p) in enumerate([(2, 3, 0.5), (4, 3, 0.3), (6, 2, 0.7), (9, 1, 1.0)])
+        ]
+        for g in list(corpus_small()) + list(corpus_large()) + analytic_graphs() + layered:
+            out, _ = layer_traversal(g)
+            assert oracle_layers(g) == (out if isinstance(out, LayerAssignment) else None)
 
 
 class TestOracleGraded:
