@@ -1,10 +1,14 @@
 """Command-line front end: stretch, diameter, layer, check, gen.
 
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
-(parse failures, cycles, input that is not UTF-8), 3 usage errors. A
-stdout closed by its reader ends the run quietly with 0. Human output
-shows external vertex labels only; JSON output follows a
-fixed-field-order schema and is emitted as a single line.
+(parse failures, cycles, input that is not UTF-8, a closed stdin), 3
+usage errors. A stdout closed by its reader ends the run quietly with 0.
+
+Each command builds its `result` once, with external vertex labels,
+and prints one report through `_print_report`: under --json a single
+line with the fixed key order `command, input, result, counters,
+verified`; otherwise text that shows the same facts as `result`,
+rendered from it by the command's text function.
 
 `--verify` compares what the command reports with the matching oracle's
 own answer; no checking logic lives here.
@@ -13,6 +17,7 @@ own answer; no checking logic lives here.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -80,6 +85,8 @@ def _read_text(path: str) -> str:
     decoding, so a bad byte's offset still counts the mark's bytes.
     """
     if path == "-":
+        if sys.stdin is None:  # the process started with stdin closed
+            raise DagError("<stdin>: standard input is closed")
         data = sys.stdin.buffer.read()
         name = "<stdin>"
     else:
@@ -115,41 +122,59 @@ def _plural(n: int, singular: str, plural: str | None = None) -> str:
     return f"{n} {plural or singular + 's'}"
 
 
-def _summary(g: Dag, components: int) -> str:
-    return (
-        f"graph: {_plural(g.n, 'vertex', 'vertices')}, "
-        f"{_plural(g.m, 'edge')}, {_plural(components, 'component')}"
-    )
+def _components(g: Dag, outcome=None) -> int:
+    """Weak component count: a balanced layering carries it, a conflict
+    stops the layering early and leaves it to a pass of its own."""
+    if isinstance(outcome, LayerAssignment):
+        return outcome.components
+    return len(core.weakly_connected_components(g))
 
 
-def _report(command: str, g: Dag, components: int, result: dict,
-            counters: InstrumentationCounters, verified: bool | None) -> dict:
-    return {
-        "command": command,
-        "input": {"vertices": g.n, "edges": g.m, "components": components},
-        "result": result,
-        "counters": {
-            "vertex_evaluations": counters.vertex_evaluations,
-            "edge_examinations": counters.edge_examinations,
-            "distance_updates": counters.distance_updates,
-        },
-        "verified": verified,
-    }
+def _print_report(args, command: str, g: Dag, result: dict, render,
+                  counters: InstrumentationCounters, verified: bool | None, *,
+                  note: str | None = None, outcome=None, bare: bool = False) -> None:
+    """Print the command's one report: a JSON line under --json, else text.
+
+    The text is the `graph:` summary line, render(result), and under
+    --verify the `verified:` line (showing `note` when there is no
+    verdict). A `bare` text is output meant as input, an edge list: it
+    has no summary line, and its verdict goes to stderr. `outcome` is
+    the layering, if any, that carries the component count.
+    """
+    if args.json:
+        report = {
+            "command": command,
+            "input": {"vertices": g.n, "edges": g.m, "components": _components(g, outcome)},
+            "result": result,
+            "counters": dataclasses.asdict(counters),
+            "verified": verified,
+        }
+        print(json.dumps(report, separators=(",", ":")))
+        return
+    lines = render(result)
+    if not bare:
+        components = _components(g, outcome)
+        lines.insert(0, f"graph: {_plural(g.n, 'vertex', 'vertices')}, "
+                        f"{_plural(g.m, 'edge')}, {_plural(components, 'component')}")
+    if args.verify:
+        verdict = f"verified: {note if verified is None else str(verified).lower()}"
+        if bare:
+            print(verdict, file=sys.stderr)
+        else:
+            lines.append(verdict)
+    if lines:
+        print("\n".join(lines))
 
 
-def _emit_json(report: dict) -> None:
-    print(json.dumps(report, separators=(",", ":")))
-
-
-def _verified_line(verified: bool | None, note: str | None) -> str:
-    if verified is None:
-        return f"verified: {note}"
-    return f"verified: {str(verified).lower()}"
+def _stretch_text(result: dict) -> list[str]:
+    lines = [f"stretch: {result['stretch']}", f"witness source: {result['witness_source']}"]
+    if result["lp"] is not None:
+        lines += [f"lp[{label}] = {lp}" for label, lp in result["lp"].items()]
+    return lines
 
 
 def _cmd_stretch(args) -> int:
     g = _load(args.file)
-    components = len(core.weakly_connected_components(g))
     res, counters = metrics.stretch(g)
     verified = None
     note = None
@@ -163,27 +188,27 @@ def _cmd_stretch(args) -> int:
         "stretch": res.stretch,
         "witness_source": g.labels[res.witness_source],
         "witness_source_index": res.witness_source,
-        "lp": {g.labels[v]: res.lp[v] for v in range(g.n)} if args.per_vertex else None,
+        "lp": dict(zip(g.labels, res.lp)) if args.per_vertex else None,
     }
-    if args.json:
-        _emit_json(_report("stretch", g, components, result, counters, verified))
-    else:
-        lines = [
-            _summary(g, components),
-            f"stretch: {res.stretch}",
-            f"witness source: {g.labels[res.witness_source]}",
-        ]
-        if args.per_vertex:
-            lines += [f"lp[{g.labels[v]}] = {res.lp[v]}" for v in range(g.n)]
-        if args.verify:
-            lines.append(_verified_line(verified, note))
-        print("\n".join(lines))
+    _print_report(args, "stretch", g, result, _stretch_text, counters, verified, note=note)
     return 0
+
+
+def _diameter_text(result: dict) -> list[str]:
+    witness = result["witness"]
+    lines = [
+        f"diameter: {result['diameter']}",
+        "witness: none" if witness is None else f"witness: {witness[0]} -> {witness[1]}",
+    ]
+    if result["distances"] is not None:
+        lines += [
+            f"d[{u} -> {v}] = {d}" for u, row in result["distances"].items() for v, d in row.items()
+        ]
+    return lines
 
 
 def _cmd_diameter(args) -> int:
     g = _load(args.file)
-    components = len(core.weakly_connected_components(g))
     if args.all_pairs:
         # The rows are part of the output, so the sweep is the one engine.
         rows, counters = metrics.all_pairs_distances(g)
@@ -194,34 +219,17 @@ def _cmd_diameter(args) -> int:
     verified = None
     if args.verify:
         verified = (res.diameter, res.witness, rows) == oracle.bfs_diameter(g, args.all_pairs)
-    witness_labels = None
-    if res.witness is not None:
-        witness_labels = [g.labels[res.witness[0]], g.labels[res.witness[1]]]
     result = {
         "diameter": res.diameter,
-        "witness": witness_labels,
-        "witness_indices": list(res.witness) if res.witness is not None else None,
+        "witness": None if res.witness is None else [g.labels[v] for v in res.witness],
+        "witness_indices": None if res.witness is None else list(res.witness),
         "distances": (
             {g.labels[u]: {g.labels[v]: rows[u][v] for v in sorted(rows[u])} for u in sorted(rows)}
             if args.all_pairs
             else None
         ),
     }
-    if args.json:
-        _emit_json(_report("diameter", g, components, result, counters, verified))
-    else:
-        lines = [_summary(g, components), f"diameter: {res.diameter}"]
-        if res.witness is None:
-            lines.append("witness: none")
-        else:
-            lines.append(f"witness: {g.labels[res.witness[0]]} -> {g.labels[res.witness[1]]}")
-        if args.all_pairs:
-            for u in sorted(rows):
-                for v in sorted(rows[u]):
-                    lines.append(f"d[{g.labels[u]} -> {g.labels[v]}] = {rows[u][v]}")
-        if args.verify:
-            lines.append(_verified_line(verified, None))
-        print("\n".join(lines))
+    _print_report(args, "diameter", g, result, _diameter_text, counters, verified)
     return 0
 
 
@@ -248,20 +256,21 @@ def _conflict(g: Dag, w: UnbalancedWitness) -> dict:
     }
 
 
-def _conflict_line(g: Dag, w: UnbalancedWitness) -> str:
-    return (
-        f"conflict at {g.labels[w.vertex]}: existing label {w.existing_label}, "
-        f"attempted {w.attempted_label}, via edge "
-        f"{g.labels[w.via_edge.u]} -> {g.labels[w.via_edge.v]}"
-    )
+def _check_text(result: dict) -> list[str]:
+    if result["balanced"]:
+        return ["balanced: yes"]
+    w = result["witness"]
+    return [
+        "balanced: no",
+        f"conflict at {w['vertex']}: existing label {w['existing']}, "
+        f"attempted {w['attempted']}, via edge {w['edge'][0]} -> {w['edge'][1]}",
+    ]
 
 
-def _components(g: Dag, outcome) -> int:
-    """Weak component count: a balanced layering carries it, a conflict
-    stops the layering early and leaves it to a pass of its own."""
-    if isinstance(outcome, LayerAssignment):
-        return outcome.components
-    return len(core.weakly_connected_components(g))
+def _layer_text(result: dict) -> list[str]:
+    # _check_text gives the conflict line; only a balanced result has layers
+    layers = result["layers"] or []
+    return _check_text(result) + [f"layer {k}: " + " ".join(names) for k, names in enumerate(layers)]
 
 
 def _cmd_layer(args) -> int:
@@ -269,25 +278,13 @@ def _cmd_layer(args) -> int:
     algo = layering.layer_pq if args.algo == "pq" else layering.layer_traversal
     outcome, counters = algo(g)
     balanced = isinstance(outcome, LayerAssignment)
-    components = _components(g, outcome)
     verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
-    layers = _layers(g, outcome) if balanced else None
-    if args.json:
-        result = {
-            "balanced": balanced,
-            "layers": layers,
-            "witness": None if balanced else _conflict(g, outcome),
-        }
-        _emit_json(_report("layer", g, components, result, counters, verified))
-    else:
-        lines = [_summary(g, components), f"balanced: {'yes' if balanced else 'no'}"]
-        if balanced:
-            lines += [f"layer {k}: " + " ".join(names) for k, names in enumerate(layers)]
-        else:
-            lines.append(_conflict_line(g, outcome))
-        if args.verify:
-            lines.append(_verified_line(verified, None))
-        print("\n".join(lines))
+    result = {
+        "balanced": balanced,
+        "layers": _layers(g, outcome) if balanced else None,
+        "witness": None if balanced else _conflict(g, outcome),
+    }
+    _print_report(args, "layer", g, result, _layer_text, counters, verified, outcome=outcome)
     return 0
 
 
@@ -295,19 +292,14 @@ def _cmd_check(args) -> int:
     g = _load(args.file)
     outcome, counters = layering.layer_traversal(g)
     balanced = isinstance(outcome, LayerAssignment)
-    components = _components(g, outcome)
     verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
-    if args.json:
-        result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
-        _emit_json(_report("check", g, components, result, counters, verified))
-    else:
-        lines = [_summary(g, components), f"balanced: {'yes' if balanced else 'no'}"]
-        if not balanced:
-            lines.append(_conflict_line(g, outcome))
-        if args.verify:
-            lines.append(_verified_line(verified, None))
-        print("\n".join(lines))
+    result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
+    _print_report(args, "check", g, result, _check_text, counters, verified, outcome=outcome)
     return 0 if balanced else 1
+
+
+def _gen_text(result: dict) -> list[str]:
+    return [f"{a} {b}" for a, b in result["edges"]] + result["isolated"]
 
 
 def _cmd_gen(args) -> int:
@@ -322,22 +314,15 @@ def _cmd_gen(args) -> int:
         if args.n < 0:
             raise _UsageError(f"--n must be >= 0, got {args.n}")
         inp = oracle.gen_random_dag(args.n, args.p, args.seed)
-    lines = [f"{a} {b}" for a, b in inp.edges] + list(inp.isolated)
-
-    if args.json or args.verify:
-        g = core.build_dag(inp)  # generated output is acyclic by construction
-        components = len(core.weakly_connected_components(g))
-        verified = None
-        if args.verify:
-            verified = oracle.oracle_graded(g) if args.layered is not None else True
-        if args.json:
-            result = {"edges": [[a, b] for a, b in inp.edges], "isolated": list(inp.isolated)}
-            _emit_json(_report("gen", g, components, result, InstrumentationCounters(), verified))
-            return 0
-        # text mode keeps stdout parseable; the verdict goes to stderr
-        print(_verified_line(verified, None), file=sys.stderr)
-    if lines:
-        print("\n".join(lines))
+    # acyclic by construction; only the JSON input counts and the check read
+    # the graph, and the edge list alone is printed faster without one
+    g = core.build_dag(inp) if args.json or args.verify else None
+    verified = None
+    if args.verify:
+        verified = oracle.oracle_graded(g) if args.layered is not None else True
+    # the edge pairs are tuples, which JSON writes as arrays
+    result = {"edges": inp.edges, "isolated": inp.isolated}
+    _print_report(args, "gen", g, result, _gen_text, InstrumentationCounters(), verified, bare=True)
     return 0
 
 

@@ -6,8 +6,9 @@ from exhaustive enumeration, diameter from per-source BFS, and layers
 from an offset-carrying union-find. The diameter and layering oracles
 give the whole answer their commands report (the diameter, its witness
 and, when asked, the distance rows; a `LayerAssignment` or None), so a
-check is one comparison. Enumerations are capped at a small vertex count because path counts
-grow exponentially.
+check is one comparison. Every oracle is iterative, so a long path
+never meets the recursion limit. Enumerations are capped at a small
+vertex count because path counts grow exponentially.
 """
 
 from __future__ import annotations
@@ -31,21 +32,25 @@ class TooLarge(DagError):
 def enumerate_path_lengths(
     g: Dag, u: VertexId, v: VertexId, bound: int = SMALL_GRAPH_BOUND
 ) -> Counter:
-    """Multiset of lengths of all directed paths u -> v, by exhaustive DFS."""
+    """Multiset of lengths of all directed paths u -> v, by exhaustive DFS.
+
+    Each stack entry is one path from u, as its end vertex and length,
+    so every path is walked once and no depth limit applies.
+    """
     if g.n > bound:
         raise TooLarge(g.n, bound)
     lengths: Counter = Counter()
     out_adj = g.out_adj
-
-    def walk(x: VertexId, depth: int) -> None:
+    stack = [(u, 0)]
+    while stack:
+        x, depth = stack.pop()
+        depth += 1
         for c in out_adj[x]:
             if c == v:
-                lengths[depth + 1] += 1
+                lengths[depth] += 1
             else:
                 # acyclic, so a path past v can never come back to v
-                walk(c, depth + 1)
-
-    walk(u, 0)
+                stack.append((c, depth))
     return lengths
 
 

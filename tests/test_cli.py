@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -54,6 +55,12 @@ class TestGoldenText:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == golden(name)
+
+    def test_unbalanced_check_matches_golden(self, capsys):
+        # the README's example: a conflict line, and exit 1
+        code, out, _ = run_cli(capsys, "check", str(DATA / "skewed.txt"))
+        assert code == 1
+        assert out == golden("check_skewed.txt")
 
 
 class TestGoldenJson:
@@ -153,6 +160,12 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "stretch", str(bad))
         assert (code, out) == (2, "")
         assert err == f"{bad}: not UTF-8 text (byte 0xff at offset 3)\n"
+
+    def test_closed_stdin_is_input_error(self, capsys, monkeypatch):
+        # a process started with its stdin closed has sys.stdin set to None
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run_cli(capsys, "stretch", "-")
+        assert (code, out, err) == (2, "", "<stdin>: standard input is closed\n")
 
     def test_closed_stdout_ends_quietly(self):
         # ~180 kB of output, far more than a pipe buffers, so the writer
@@ -497,3 +510,71 @@ def test_every_command_reports_the_component_count(tmp_path_factory, model, p, s
         code, out = _run_quiet([*argv, "--json"])
         assert code in (0, 1), argv
         assert json.loads(out)["input"]["components"] == expected, argv
+
+
+# Every command with --json, in a form that reaches each text line kind.
+REPORTS = [
+    ["stretch", str(DATA / "diamond.txt"), "--per-vertex", "--verify"],
+    ["diameter", str(DATA / "diamond.txt"), "--all-pairs", "--verify"],
+    ["diameter", str(DATA / "two_comps.txt")],
+    ["layer", str(DATA / "diamond.txt"), "--verify"],
+    ["layer", str(DATA / "skewed.txt"), "--algo", "pq"],
+    ["check", str(DATA / "diamond.txt")],
+    ["check", str(DATA / "skewed.txt"), "--verify"],
+    ["gen", "--n", "6", "--p", "0.5", "--seed", "42"],
+    ["gen", "--layered", "3", "2", "--p", "1.0", "--seed", "1", "--verify"],
+]
+
+
+def test_json_runs_no_text_rendering(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("text rendered")
+
+    for name in ["_stretch_text", "_diameter_text", "_layer_text", "_check_text", "_gen_text", "_plural"]:
+        monkeypatch.setattr(cli, name, forbidden)
+    for argv in REPORTS:
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code in (0, 1), argv
+        assert json.loads(out)["command"] == argv[0]
+        with pytest.raises(AssertionError, match="text rendered"):
+            cli.run(argv)  # the same command in text mode reaches a renderer
+    capsys.readouterr()
+
+
+SUMMARY = re.compile(r"graph: (\d+) (?:vertex|vertices), (\d+) edges?, (\d+) components?")
+HEADLINE = {"stretch": "stretch", "diameter": "diameter", "layer": "balanced", "check": "balanced"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=GEN_MODELS,
+    p=st.sampled_from(["0.0", "0.2", "0.5", "1.0"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_text_and_json_report_the_same_facts(tmp_path_factory, model, p, seed):
+    code, text = _run_quiet(["gen", *model, "--p", p, "--seed", str(seed)])
+    assert code == 0
+    path = tmp_path_factory.mktemp("gen") / "g.txt"
+    path.write_text(text)
+    for command, key in HEADLINE.items():
+        for verify in [[], ["--verify"]]:
+            argv = [command, str(path), *verify]
+            code, out = _run_quiet(argv)
+            json_code, js = _run_quiet([*argv, "--json"])
+            assert code == json_code, argv
+            report = json.loads(js)
+            lines = out.splitlines()
+            counts = SUMMARY.fullmatch(lines[0])
+            assert counts, lines[0]
+            inp = report["input"]
+            assert [int(c) for c in counts.groups()] == [inp["vertices"], inp["edges"], inp["components"]]
+            value = report["result"][key]
+            shown = ("yes" if value else "no") if isinstance(value, bool) else value
+            assert lines[1] == f"{key}: {shown}", argv
+            verdict = [line for line in lines if line.startswith("verified: ")]
+            if not verify:
+                assert verdict == [] and report["verified"] is None
+            elif report["verified"] is None:
+                assert verdict == [lines[-1]] and lines[-1].startswith("verified: skipped ")
+            else:
+                assert verdict == [lines[-1]] == [f"verified: {str(report['verified']).lower()}"]

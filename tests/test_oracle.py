@@ -1,6 +1,8 @@
 """The oracles are trusted reference points, so they get their own tests
 against tiny hand-enumerable graphs and against each other."""
 
+from collections import Counter
+
 import pytest
 
 from dagmetrics import (
@@ -59,6 +61,20 @@ class TestEnumeratePathLengths:
         g = chain(13)
         lengths = enumerate_path_lengths(g, 0, 12, bound=20)
         assert lengths == {12: 1}
+
+    def test_long_chain_within_recursion_limit(self):
+        # one path of 1499 edges, longer than the default recursion limit
+        assert enumerate_path_lengths(chain(1500), 0, 1499, bound=1500) == Counter({1499: 1})
+
+    def test_every_path_through_shared_vertices(self):
+        # five diamonds in series: each path picks one of two routes per
+        # diamond, and the merge vertices lie on many paths
+        edges = []
+        for k in range(5):
+            a, b, c, d = (f"{k}", f"{k}l", f"{k}r", f"{k + 1}")
+            edges += [(a, b), (a, c), (b, d), (c, d)]
+        g = dag_from_edges(edges)
+        assert enumerate_path_lengths(g, 0, g.index_of["5"], bound=16) == {10: 32}
 
 
 class TestOracleStretch:
