@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
 (parse failures, cycles, input that is not UTF-8, a closed stdin), 3
 usage errors. A stdout closed by its reader ends the run quietly with 0.
+A closed stderr drops the error message and keeps the exit code.
 
 Each command builds its `result` once, with external vertex labels,
 and prints one report through `_print_report`: under --json a single
@@ -116,6 +117,17 @@ def _oracle_bound() -> int:
         raise _UsageError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}")
 
 
+def _warn(message: str) -> None:
+    """Print one line to stderr. A closed stderr drops it, so a failed
+    write cannot replace the exit code of the error it reports."""
+    if sys.stderr is None:  # the process started with stderr closed
+        return
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _plural(n: int, singular: str, plural: str | None = None) -> str:
     if n == 1:
         return f"{n} {singular}"
@@ -159,7 +171,7 @@ def _print_report(args, command: str, g: Dag, result: dict, render,
     if args.verify:
         verdict = f"verified: {note if verified is None else str(verified).lower()}"
         if bare:
-            print(verdict, file=sys.stderr)
+            _warn(verdict)
         else:
             lines.append(verdict)
     if lines:
@@ -331,7 +343,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+        _warn(f"usage error: {e}")
         return 3
     except SystemExit as e:  # --help
         return int(e.code or 0)
@@ -339,15 +351,15 @@ def run(argv: list[str] | None = None) -> int:
         with core._collector_paused():
             return args.func(args)
     except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+        _warn(f"usage error: {e}")
         return 3
     except DagError as e:
-        print(str(e), file=sys.stderr)
+        _warn(str(e))
         return 2
     except BrokenPipeError:
         raise  # stdout closed by the reader; main() ends quietly
     except OSError as e:
-        print(str(e), file=sys.stderr)
+        _warn(str(e))
         return 2
 
 

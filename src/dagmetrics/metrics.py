@@ -188,15 +188,20 @@ def _rounds_pay_off(n: int, m: int, longest_path: int, sweep_updates: int) -> bo
 
 
 def _diameter_from_rows(rows: DistanceMap) -> DiameterResult:
-    best = 0
-    witness: tuple[VertexId, VertexId] | None = None
-    for u in sorted(rows):
-        row = rows[u]
-        for v in sorted(row):
-            if row[v] > best:
-                best = row[v]
-                witness = (u, v)
-    return DiameterResult(diameter=best, witness=witness)
+    """The largest distance and its lexicographically smallest pair.
+
+    Linear in the stored pairs: each row's maximum is taken once, then
+    the witness is the smallest source whose row reaches the diameter
+    and the smallest target in that row at that distance. Rows are
+    never empty, since sinks have none.
+    """
+    far = {u: max(row.values()) for u, row in rows.items()}
+    best = max(far.values(), default=0)
+    if not best:
+        return DiameterResult(diameter=0, witness=None)
+    u = min(u for u, d in far.items() if d == best)
+    v = min(v for v, d in rows[u].items() if d == best)
+    return DiameterResult(diameter=best, witness=(u, v))
 
 
 def _diameter_by_rounds(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:

@@ -3,18 +3,21 @@
 Everything here exists to double-check the fast algorithms, so none of
 it shares an algorithm with `metrics` or `layering`: longest paths come
 from exhaustive enumeration, diameter from per-source BFS, and layers
-from an offset-carrying union-find. The diameter and layering oracles
-give the whole answer their commands report (the diameter, its witness
-and, when asked, the distance rows; a `LayerAssignment` or None), so a
-check is one comparison. Every oracle is iterative, so a long path
-never meets the recursion limit. Enumerations are capped at a small
-vertex count because path counts grow exponentially.
+from an offset-carrying union-find. The path-enumeration oracles share
+one walk that lists every directed path leaving a source exactly once,
+with no memo per vertex, and run it once per source. The diameter and
+layering oracles give the whole answer their commands report (the
+diameter, its witness and, when asked, the distance rows; a
+`LayerAssignment` or None), so a check is one comparison. Every oracle
+is iterative, so a long path never meets the recursion limit.
+Enumerations are capped at a small vertex count because path counts
+grow exponentially.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 
 from dagmetrics.core import Dag, DagBuildInput, DagError, VertexId
 from dagmetrics.layering import LayerAssignment
@@ -29,44 +32,39 @@ class TooLarge(DagError):
         self.bound = bound
 
 
-def enumerate_path_lengths(
-    g: Dag, u: VertexId, v: VertexId, bound: int = SMALL_GRAPH_BOUND
-) -> Counter:
-    """Multiset of lengths of all directed paths u -> v, by exhaustive DFS.
+def _path_lengths_from(g: Dag, u: VertexId, bound: int) -> dict[VertexId, Counter]:
+    """Multiset of path lengths u -> v for every v that u reaches, by exhaustive DFS.
 
     Each stack entry is one path from u, as its end vertex and length,
-    so every path is walked once and no depth limit applies.
+    so every path leaving u is walked exactly once and no depth limit
+    applies. The graph is acyclic, so u itself is never reached: only
+    nonempty paths count.
     """
     if g.n > bound:
         raise TooLarge(g.n, bound)
-    lengths: Counter = Counter()
+    reached: defaultdict[VertexId, Counter] = defaultdict(Counter)
     out_adj = g.out_adj
     stack = [(u, 0)]
     while stack:
         x, depth = stack.pop()
         depth += 1
         for c in out_adj[x]:
-            if c == v:
-                lengths[depth] += 1
-            else:
-                # acyclic, so a path past v can never come back to v
-                stack.append((c, depth))
-    return lengths
+            reached[c][depth] += 1
+            stack.append((c, depth))
+    return reached
+
+
+def enumerate_path_lengths(
+    g: Dag, u: VertexId, v: VertexId, bound: int = SMALL_GRAPH_BOUND
+) -> Counter:
+    """Multiset of lengths of all directed paths u -> v, by exhaustive DFS."""
+    return _path_lengths_from(g, u, bound).get(v, Counter())
 
 
 def oracle_stretch(g: Dag, bound: int = SMALL_GRAPH_BOUND) -> int:
     """Longest path over all ordered pairs; 0 when nothing is reachable."""
-    if g.n > bound:
-        raise TooLarge(g.n, bound)
-    best = 0
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v:
-                continue
-            lengths = enumerate_path_lengths(g, u, v, bound)
-            if lengths:
-                best = max(best, max(lengths))
-    return best
+    walks = (_path_lengths_from(g, u, bound) for u in range(g.n))
+    return max((max(lengths) for walk in walks for lengths in walk.values()), default=0)
 
 
 def bfs_distances(g: Dag, source: VertexId) -> dict[VertexId, int]:
@@ -179,15 +177,8 @@ def oracle_graded(g: Dag) -> bool:
 
 def oracle_all_paths_equal(g: Dag, bound: int = SMALL_GRAPH_BOUND) -> bool:
     """True iff every ordered pair's paths all have one common length."""
-    if g.n > bound:
-        raise TooLarge(g.n, bound)
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v:
-                continue
-            if len(enumerate_path_lengths(g, u, v, bound)) > 1:
-                return False
-    return True
+    walks = (_path_lengths_from(g, u, bound) for u in range(g.n))
+    return all(len(lengths) == 1 for walk in walks for lengths in walk.values())
 
 
 def gen_random_dag(n: int, p: float, seed: int) -> DagBuildInput:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -5,8 +6,9 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,32 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "stretch" in out and "diameter" in out
+
+
+class _ClosedStderr:
+    """Stands in for a stderr whose descriptor is closed."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+# A write to a closed descriptor fails; an interpreter started with fd 2
+# closed sets sys.stderr to None, and print(file=None) writes to stdout.
+@pytest.mark.parametrize("stderr", [_ClosedStderr(), None], ids=["write-fails", "none"])
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["stretch", str(DATA / "cyclic.txt")], 2),
+        (["gen", "--n", "3", "--p", "1", "--seed", "1", "--verify"], 0),
+        (["check", str(DATA / "skewed.txt")], 1),
+        (["stretch"], 3),
+    ],
+)
+def test_closed_stderr_keeps_exit_code_and_output(capsys, monkeypatch, stderr, argv, expected_code):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code and (err != "") == (code in (2, 3) or argv[0] == "gen")
+    monkeypatch.setattr("sys.stderr", stderr)
+    assert run_cli(capsys, *argv)[:2] == (code, out)
 
 
 @pytest.mark.parametrize("source", ["empty-file", "gen-n0-stdin"])
@@ -578,3 +606,47 @@ def test_text_and_json_report_the_same_facts(tmp_path_factory, model, p, seed):
                 assert verdict == [lines[-1]] and lines[-1].startswith("verified: skipped ")
             else:
                 assert verdict == [lines[-1]] == [f"verified: {str(report['verified']).lower()}"]
+
+
+# Lines that are mostly edges, with stray tokens among them: they make
+# valid graphs, cycles, self-loops, duplicate edges, malformed lines and
+# comments.
+LABELS = ["a", "b", "c", "d", "e"]
+TOKENS = LABELS + ["#", "\ufeff", "\x00", "\xe9", "\t", "\r"]
+EDGE = st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)).map(" ".join)
+LINE = st.one_of(EDGE, EDGE, EDGE, st.lists(st.sampled_from(TOKENS), max_size=3).map(" ".join))
+STDIN_BYTES = st.one_of(
+    st.binary(max_size=120), st.lists(LINE, max_size=8).map(lambda lines: "\n".join(lines).encode())
+)
+FUZZED = [
+    ["stretch"],
+    ["diameter"],
+    ["diameter", "--all-pairs"],
+    ["layer", "--algo", "pq"],
+    ["layer", "--algo", "traversal"],
+    ["check"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=STDIN_BYTES)
+def test_any_stdin_maps_to_an_exit_code(data):
+    stdin = sys.stdin
+    try:
+        for command in FUZZED:
+            for flags in [[], ["--json"], ["--verify"], ["--json", "--verify"]]:
+                argv = [command[0], "-", *command[1:], *flags]
+                sys.stdin = SimpleNamespace(buffer=io.BytesIO(data))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.run(argv)
+                assert code in (0, 1, 2), argv
+                assert code != 1 or command == ["check"], argv
+                if code == 2:
+                    assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+                elif "--json" in flags:
+                    assert json.loads(out.getvalue())["verified"] is not False, argv
+                else:
+                    assert "verified: false" not in out.getvalue(), argv
+    finally:
+        sys.stdin = stdin

@@ -1,9 +1,12 @@
 """The oracles are trusted reference points, so they get their own tests
 against tiny hand-enumerable graphs and against each other."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagmetrics import (
     DagBuildInput,
@@ -34,6 +37,32 @@ from graphs import (
     gap,
     skewed,
 )
+
+
+def reference_path_lengths(g, u, v):
+    """Path lengths u -> v by one exhaustive DFS for this pair alone,
+    pruned at v, so it shares no walk with the oracles under test."""
+    lengths = Counter()
+    stack = [(u, 0)]
+    while stack:
+        x, depth = stack.pop()
+        depth += 1
+        for c in g.out_adj[x]:
+            if c == v:
+                lengths[depth] += 1
+            else:
+                stack.append((c, depth))
+    return lengths
+
+
+def assert_matches_reference(g):
+    """Every pair's multiset, and both oracles, equal reductions over the reference."""
+    pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    reference = {(u, v): reference_path_lengths(g, u, v) for u, v in pairs}
+    for (u, v), lengths in reference.items():
+        assert enumerate_path_lengths(g, u, v, bound=g.n) == lengths, (u, v)
+    assert oracle_stretch(g, bound=g.n) == max((max(c) for c in reference.values() if c), default=0)
+    assert oracle_all_paths_equal(g, bound=g.n) == all(len(c) <= 1 for c in reference.values())
 
 
 class TestEnumeratePathLengths:
@@ -75,6 +104,43 @@ class TestEnumeratePathLengths:
             edges += [(a, b), (a, c), (b, d), (c, d)]
         g = dag_from_edges(edges)
         assert enumerate_path_lengths(g, 0, g.index_of["5"], bound=16) == {10: 32}
+
+
+class TestOneWalkPerSource:
+    def test_corpus_and_analytic_graphs_match_reference(self):
+        for g in list(corpus_small()) + analytic_graphs():
+            assert_matches_reference(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from(["random", "layered"]),
+        size=st.integers(min_value=1, max_value=10),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_generated_graphs_match_reference(self, model, size, p, seed):
+        if model == "random":
+            inp = gen_random_dag(size, p, seed)
+        else:
+            width = 1 + seed % 3
+            inp = gen_layered_dag(max(1, size // width), width, p, seed)
+        assert_matches_reference(build_dag(inp))
+
+    @pytest.mark.parametrize("oracle", [oracle_stretch, oracle_all_paths_equal])
+    def test_each_source_walked_once(self, oracle):
+        # a walk from vertex i of chain(60) follows 60 - i paths and reads
+        # one row per path; one walk per ordered pair would read 71 980
+        class CountingRows(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingRows.reads += 1
+                return super().__getitem__(i)
+
+        g = chain(60)
+        g = dataclasses.replace(g, out_adj=CountingRows(g.out_adj))
+        oracle(g, bound=60)
+        assert CountingRows.reads <= 60 * 61 // 2
 
 
 class TestOracleStretch:
