@@ -21,6 +21,7 @@ from dagmetrics.core import (
     DuplicateEdge,
     Edge,
     EmptyGraph,
+    InstrumentationCounters,
     MalformedLine,
     SelfLoop,
     build_dag,
@@ -41,7 +42,6 @@ from dagmetrics.layering import (
 )
 from dagmetrics.metrics import (
     DiameterResult,
-    InstrumentationCounters,
     StretchResult,
     all_pairs_distances,
     diameter,

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
 (parse failures, cycles, input that is not UTF-8, a closed stdin), 3
 usage errors. A stdout closed by its reader ends the run quietly with 0.
-A closed stderr drops the error message and keeps the exit code.
+A closed stderr drops the error message, and a stdout closed before the
+start drops the report; either way the exit code stands.
 
 Each command builds its `result` once, with external vertex labels,
 and prints one report through `_print_report`: under --json a single
@@ -24,9 +25,8 @@ import os
 import sys
 
 from dagmetrics import core, layering, metrics, oracle
-from dagmetrics.core import Dag, DagError
+from dagmetrics.core import Dag, DagError, InstrumentationCounters
 from dagmetrics.layering import LayerAssignment, UnbalancedWitness
-from dagmetrics.metrics import InstrumentationCounters
 
 ORACLE_BOUND_ENV = "DAGMETRICS_ORACLE_BOUND"
 
@@ -134,29 +134,31 @@ def _plural(n: int, singular: str, plural: str | None = None) -> str:
     return f"{n} {plural or singular + 's'}"
 
 
-def _components(g: Dag, outcome=None) -> int:
-    """Weak component count: a balanced layering carries it, a conflict
-    stops the layering early and leaves it to a pass of its own."""
-    if isinstance(outcome, LayerAssignment):
-        return outcome.components
+def _components(g: Dag, known: int | None) -> int:
+    """Weak component count: `known` when the command's balanced layering
+    carries it; a conflict or no layering leaves it to a pass of its own."""
+    if known is not None:
+        return known
     return len(core.weakly_connected_components(g))
 
 
 def _print_report(args, command: str, g: Dag, result: dict, render,
                   counters: InstrumentationCounters, verified: bool | None, *,
-                  note: str | None = None, outcome=None, bare: bool = False) -> None:
+                  note: str | None = None, components: int | None = None,
+                  bare: bool = False) -> None:
     """Print the command's one report: a JSON line under --json, else text.
 
     The text is the `graph:` summary line, render(result), and under
     --verify the `verified:` line (showing `note` when there is no
     verdict). A `bare` text is output meant as input, an edge list: it
-    has no summary line, and its verdict goes to stderr. `outcome` is
-    the layering, if any, that carries the component count.
+    has no summary line, and its verdict goes to stderr. `components`
+    is the weak component count when the command's own layering found
+    it; otherwise the summary counts them in a pass of its own.
     """
     if args.json:
         report = {
             "command": command,
-            "input": {"vertices": g.n, "edges": g.m, "components": _components(g, outcome)},
+            "input": {"vertices": g.n, "edges": g.m, "components": _components(g, components)},
             "result": result,
             "counters": dataclasses.asdict(counters),
             "verified": verified,
@@ -165,9 +167,9 @@ def _print_report(args, command: str, g: Dag, result: dict, render,
         return
     lines = render(result)
     if not bare:
-        components = _components(g, outcome)
         lines.insert(0, f"graph: {_plural(g.n, 'vertex', 'vertices')}, "
-                        f"{_plural(g.m, 'edge')}, {_plural(components, 'component')}")
+                        f"{_plural(g.m, 'edge')}, "
+                        f"{_plural(_components(g, components), 'component')}")
     if args.verify:
         verdict = f"verified: {note if verified is None else str(verified).lower()}"
         if bare:
@@ -241,7 +243,8 @@ def _cmd_diameter(args) -> int:
             else None
         ),
     }
-    _print_report(args, "diameter", g, result, _diameter_text, counters, verified)
+    _print_report(args, "diameter", g, result, _diameter_text, counters, verified,
+                  components=res.components)
     return 0
 
 
@@ -296,7 +299,8 @@ def _cmd_layer(args) -> int:
         "layers": _layers(g, outcome) if balanced else None,
         "witness": None if balanced else _conflict(g, outcome),
     }
-    _print_report(args, "layer", g, result, _layer_text, counters, verified, outcome=outcome)
+    _print_report(args, "layer", g, result, _layer_text, counters, verified,
+                  components=outcome.components if balanced else None)
     return 0
 
 
@@ -306,7 +310,8 @@ def _cmd_check(args) -> int:
     balanced = isinstance(outcome, LayerAssignment)
     verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
     result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
-    _print_report(args, "check", g, result, _check_text, counters, verified, outcome=outcome)
+    _print_report(args, "check", g, result, _check_text, counters, verified,
+                  components=outcome.components if balanced else None)
     return 0 if balanced else 1
 
 
@@ -366,7 +371,8 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     try:
         code = run()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader (e.g. `head`) has what it wanted. Point stdout at
         # devnull so the flush at interpreter exit cannot fail again.

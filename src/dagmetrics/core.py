@@ -105,6 +105,15 @@ class Dag:
     topo: list[VertexId]  # lexicographically smallest topological order
 
 
+@dataclass
+class InstrumentationCounters:
+    """Work one analysis call performed; each call returns fresh counters."""
+
+    vertex_evaluations: int = 0
+    edge_examinations: int = 0
+    distance_updates: int = 0
+
+
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector, then restore the caller's state.

@@ -24,8 +24,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Union
 
-from dagmetrics.core import Dag, Edge, EmptyGraph, VertexId
-from dagmetrics.metrics import InstrumentationCounters
+from dagmetrics.core import Dag, Edge, EmptyGraph, InstrumentationCounters, VertexId
 
 
 @dataclass

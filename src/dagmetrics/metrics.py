@@ -8,35 +8,53 @@ actually performed; counters are fresh per call.
 * ``all_pairs_distances`` evaluates every vertex and edge once. Each
   edge (p, c) counts 1 + |row of c| distance updates, so there are at
   most |E|*|V|.
-* ``diameter`` is the one engine dispatcher. It runs one of two engines,
-  chosen from |V|, |E|, stretch and a bound on the sweep's work (see
-  ``_rounds_pay_off``), and reports that engine's counters:
+* ``diameter`` is the one engine dispatcher. On a graph with edges it
+  first makes one reverse-topological pass (``_engine_inputs``) that
+  gives the stretch, a bound on the sweep's work, and the smallest end
+  of a longest path from each vertex. It then runs one of three engines
+  and reports that engine's counters:
 
-  - the all-pairs sweep above, with its counters unchanged;
-  - bit-parallel reach rounds, which take diameter+1 rounds (at most
-    stretch+1, since diameter <= stretch). Each round counts |V| vertex
-    evaluations and |E| edge examinations, and distance_updates is the
-    number of reachable ordered pairs, each of whose distance is set
-    once, by the round that first reaches it. That is at most |E|*|V|.
+  - the balanced engine, taken when stretch >= 2 and the layering
+    kernel (``layering.layer_traversal``) finds the graph balanced.
+    There every path u -> v has length layer(v) - layer(u), so shortest
+    equals longest for every pair and the diameter is the stretch. The
+    pairs at that distance are (u, an end of a longest path from u)
+    with lp(u) = stretch, so the witness comes from the pass, with no
+    traversal and no rows. Its counters are the pass plus the kernel:
+    2|V| vertex evaluations, 3|E| edge examinations and no distance
+    updates, which is within (stretch+1)*|V| and (stretch+1)*|E|
+    exactly when stretch >= 2;
+  - otherwise the all-pairs sweep above, with its counters unchanged,
+    or bit-parallel reach rounds, chosen from |V|, |E|, stretch and a
+    bound on the sweep's work (see ``_rounds_pay_off``). The rounds
+    take diameter+1 rounds (at most stretch+1, since diameter <=
+    stretch). Each round counts |V| vertex evaluations and |E| edge
+    examinations, and distance_updates is the number of reachable
+    ordered pairs, each of whose distance is set once, by the round
+    that first reaches it. That is at most |E|*|V|.
+
+  Neither the dispatch pass nor a balance probe that finds a conflict
+  counts toward the sweep or the rounds: their counters are the
+  engine's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from dagmetrics.core import Dag, EmptyGraph, VertexId, topological_order
+from dagmetrics import layering
+from dagmetrics.core import (
+    Dag,
+    EmptyGraph,
+    InstrumentationCounters,
+    VertexId,
+    topological_order,
+)
 
 # source index -> {reachable index -> shortest directed distance in edges};
 # entries exist only for nonempty paths, so sinks have no row and d(u,u)
 # is never stored.
 DistanceMap = dict[int, dict[int, int]]
-
-
-@dataclass
-class InstrumentationCounters:
-    vertex_evaluations: int = 0
-    edge_examinations: int = 0
-    distance_updates: int = 0
 
 
 @dataclass
@@ -52,6 +70,9 @@ class StretchResult:
 class DiameterResult:
     diameter: int
     witness: tuple[VertexId, VertexId] | None  # lexicographically smallest
+    # weak component count, when the engine's layering found it; not
+    # part of the answer, so equal results compare equal without it
+    components: int | None = field(default=None, compare=False)
 
 
 def stretch(g: Dag) -> tuple[StretchResult, InstrumentationCounters]:
@@ -132,39 +153,65 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     """Maximum shortest directed distance over all reachable pairs.
 
     0 with no witness when nothing is reachable; otherwise the witness is
-    the lexicographically smallest (u, v) attaining the maximum. Both
-    engines give the same result; which one runs shows only in the
+    the lexicographically smallest (u, v) attaining the maximum. Every
+    engine gives the same result; which one runs shows only in the
     counters (see the module docstring).
     """
-    if g.m and _rounds_pay_off(g.n, g.m, *_engine_inputs(g)):
-        return _diameter_by_rounds(g)
+    if g.m:
+        longest, sweep_updates, ends = _engine_inputs(g)
+        if longest >= 2:
+            outcome, probe = layering.layer_traversal(g)
+            if isinstance(outcome, layering.LayerAssignment):
+                counters = InstrumentationCounters(
+                    vertex_evaluations=g.n + probe.vertex_evaluations,
+                    edge_examinations=g.m + probe.edge_examinations,
+                )
+                result = DiameterResult(longest, ends, components=outcome.components)
+                return result, counters
+        if _rounds_pay_off(g.n, g.m, longest, sweep_updates):
+            return _diameter_by_rounds(g)
     rows, counters = all_pairs_distances(g)
     return _diameter_from_rows(rows), counters
 
 
-def _engine_inputs(g: Dag) -> tuple[int, int]:
-    """Stretch and a bound on the sweep's distance updates, in one pass.
+def _engine_inputs(g: Dag) -> tuple[int, int, tuple[VertexId, VertexId]]:
+    """Stretch, a bound on the sweep's distance updates, and the ends of
+    a longest path, in one pass over a graph with vertices.
 
     The sweep spends 1 + |desc(c)| updates on each edge (p, c). The
     number of paths leaving a vertex, capped at |V|-1, bounds its
     descendant count from above and is exact on forests and chains.
+
+    far[v] is the smallest end of a longest path from v: v itself at a
+    sink, else the smallest far[c] over the successors c with
+    lp[c] = lp[v] - 1. The pair returned is (u, far[u]) for the smallest
+    u with lp[u] = stretch, the balanced engine's witness.
     """
     cap = g.n - 1
     out_adj = g.out_adj
     lp = [0] * g.n
+    far = [0] * g.n  # smallest end of a longest path from v
     below = [0] * g.n  # capped path count from v, >= |desc(v)|
     updates = 0
     for v in reversed(topological_order(g)):
         best = -1
+        end = v
         paths = 0
         for c in out_adj[v]:
-            if lp[c] > best:
-                best = lp[c]
+            lc = lp[c]
+            if lc > best:
+                best = lc
+                end = far[c]
+            elif lc == best and far[c] < end:
+                end = far[c]
             paths += 1 + below[c]
         lp[v] = best + 1
+        far[v] = end
         below[v] = paths if paths < cap else cap
         updates += paths
-    return max(lp, default=0), updates
+    longest = max(lp)
+    u = lp.index(longest)
+    return longest, updates, (u, far[u])
 
 
 def _rounds_pay_off(n: int, m: int, longest_path: int, sweep_updates: int) -> bool:

@@ -184,6 +184,21 @@ class TestExitCodes:
         assert proc.wait(timeout=60) == 0
         assert first.strip() and err == b""
 
+    @pytest.mark.parametrize(
+        "argv,expected_code",
+        [(["stretch", str(DATA / "diamond.txt")], 0), (["check", str(DATA / "skewed.txt")], 1)],
+    )
+    def test_stdout_closed_before_start_keeps_exit_code(self, argv, expected_code):
+        # the shell closes fd 1 (`>&-`), so the interpreter starts with
+        # sys.stdout set to None
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dagmetrics", *argv],
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+        assert proc.returncode == expected_code
+        assert b"Traceback" not in proc.stderr
+
     def test_check_unbalanced_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "check", str(DATA / "skewed.txt"))
         assert code == 1
@@ -371,11 +386,14 @@ class TestVerify:
         assert json.loads(out)["verified"] is False
 
     def test_diameter_flags_run_at_most_one_sweep(self, capsys, monkeypatch, tmp_path):
-        # a chain takes the sweep and this random DAG the rounds; under
-        # --all-pairs the sweep is the one engine on both, and --verify
-        # adds one oracle BFS per vertex
+        # a chain with a skip edge takes the sweep, this random DAG the
+        # rounds, and a balanced chain neither; under --all-pairs the
+        # sweep is the one engine on all three, and --verify adds one
+        # oracle BFS per vertex
         chain = tmp_path / "chain.txt"
         chain.write_text("".join(f"{i} {i + 1}\n" for i in range(99)))
+        skip = tmp_path / "skip.txt"
+        skip.write_text(chain.read_text() + "0 2\n")
         rand = tmp_path / "rand.txt"
         rand.write_text(run_cli(capsys, "gen", "--n", "35", "--p", "0.3", "--seed", "0")[1])
 
@@ -393,19 +411,21 @@ class TestVerify:
         counted("metrics.all_pairs_distances", metrics.all_pairs_distances)
         counted("metrics._diameter_by_rounds", metrics._diameter_by_rounds)
         counted("oracle.bfs_distances", oracle.bfs_distances)
-        for path, n, flags, engine in [
-            (chain, 100, ["--verify"], "metrics.all_pairs_distances"),
-            (chain, 100, ["--all-pairs", "--verify"], "metrics.all_pairs_distances"),
-            (rand, 35, ["--verify"], "metrics._diameter_by_rounds"),
-            (rand, 35, ["--all-pairs", "--verify"], "metrics.all_pairs_distances"),
-            (rand, 35, ["--all-pairs"], "metrics.all_pairs_distances"),
+        for path, n, flags, engines in [
+            (skip, 100, ["--verify"], ["metrics.all_pairs_distances"]),
+            (skip, 100, ["--all-pairs", "--verify"], ["metrics.all_pairs_distances"]),
+            (chain, 100, ["--verify"], []),
+            (chain, 100, ["--all-pairs", "--verify"], ["metrics.all_pairs_distances"]),
+            (rand, 35, ["--verify"], ["metrics._diameter_by_rounds"]),
+            (rand, 35, ["--all-pairs", "--verify"], ["metrics.all_pairs_distances"]),
+            (rand, 35, ["--all-pairs"], ["metrics.all_pairs_distances"]),
         ]:
             calls.clear()
             code, out, _ = run_cli(capsys, "diameter", str(path), "--json", *flags)
             assert code == 0
             assert json.loads(out)["verified"] is ("--verify" in flags or None)
             bfs = n if "--verify" in flags else 0
-            assert sorted(calls) == sorted([engine] + ["oracle.bfs_distances"] * bfs), (path.name, flags)
+            assert sorted(calls) == sorted(engines + ["oracle.bfs_distances"] * bfs), (path.name, flags)
 
     def test_layer_verify_true_on_balanced(self, capsys):
         code, out, _ = run_cli(capsys, "layer", str(DATA / "two_comps.txt"), "--json", "--verify")
@@ -496,6 +516,25 @@ class TestComponentCount:
             code, out, _ = run_cli(capsys, *argv, str(DATA / "two_comps.txt"), "--json")
             assert code == 0
             assert json.loads(out)["input"]["components"] == 2
+
+    def test_balanced_diameter_runs_no_components_pass(self, capsys, monkeypatch, tmp_path):
+        # stretch >= 2 and balanced: diameter's engine runs the layering,
+        # which carries the count
+        path = tmp_path / "chain_and_lone.txt"
+        path.write_text("0 1\n1 2\n2 3\nlone\n")
+
+        def forbidden(g):
+            raise AssertionError("components counted twice")
+
+        monkeypatch.setattr(core, "weakly_connected_components", forbidden)
+        code, out, _ = run_cli(capsys, "diameter", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["components"] == 2
+        assert report["result"]["witness"] == ["0", "3"]
+        code, out, _ = run_cli(capsys, "diameter", str(path))
+        assert code == 0
+        assert out.startswith("graph: 5 vertices, 3 edges, 2 components\n")
 
 
 GEN_MODELS = st.one_of(

@@ -9,11 +9,14 @@ from dagmetrics import (
     bfs_distances,
     build_dag,
     diameter,
+    enumerate_path_lengths,
+    gen_layered_dag,
     gen_random_dag,
     oracle_diameter,
     oracle_stretch,
     sources,
     stretch,
+    weakly_connected_components,
 )
 from dagmetrics.metrics import (
     _diameter_by_rounds,
@@ -184,6 +187,7 @@ class TestDiameterEngines:
             by_rounds, _ = _diameter_by_rounds(g)
             assert by_rounds == by_all_pairs
             assert by_rounds.diameter == oracle_diameter(g)
+            assert diameter(g)[0] == by_all_pairs  # whichever engine it takes
 
     def test_rounds_counters(self):
         # diameter 2: three rounds, the last one changing nothing; five
@@ -196,25 +200,35 @@ class TestDiameterEngines:
 
     def test_engine_inputs(self):
         # chain(n): stretch n-1, and the sweep's updates are exactly the
-        # n(n-1)/2 reachable pairs, so the bound is tight there
+        # n(n-1)/2 reachable pairs, so the bound is tight there; the
+        # one longest path runs from the first vertex to the last
         g = chain(1000)
-        assert _engine_inputs(g) == (999, 999 * 1000 // 2)
+        assert _engine_inputs(g) == (999, 999 * 1000 // 2, (0, 999))
         assert all_pairs_distances(g)[1].distance_updates == 999 * 1000 // 2
         for g in list(corpus_small()) + analytic_graphs():
-            longest, bound = _engine_inputs(g)
-            assert longest == (stretch(g)[0].stretch if g.n else 0)
+            longest, bound, (u, end) = _engine_inputs(g)
+            sres, _ = stretch(g)
+            assert longest == sres.stretch
             assert all_pairs_distances(g)[1].distance_updates <= bound <= g.m * g.n
+            if longest:
+                # u starts a longest path, and end is the smallest vertex
+                # that one of them reaches
+                assert u == sres.witness_source
+                ends = [v for v in range(g.n) if longest in enumerate_path_lengths(g, u, v)]
+                assert end == min(ends)
 
     def test_chain_takes_all_pairs(self):
-        g = chain(1000)
-        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g))
+        # the skip edge 0 -> 2 unbalances the chain, so the balanced
+        # engine does not apply and the sweep beats the rounds
+        g = dag_from_edges([(str(i), str(i + 1)) for i in range(999)] + [("0", "2")])
+        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g)[:2])
         res, counters = diameter(g)
-        assert res.diameter == 999 and res.witness == (0, 999)
+        assert res.diameter == 998 and res.witness == (0, 999)
         assert counters == all_pairs_distances(g)[1]
 
     def test_dense_random_takes_rounds(self):
         g = random_dag(1200, 0.025, 1)
-        assert _rounds_pay_off(g.n, g.m, *_engine_inputs(g))
+        assert _rounds_pay_off(g.n, g.m, *_engine_inputs(g)[:2])
         res, counters = diameter(g)
         assert res == _diameter_from_rows(all_pairs_distances(g)[0])
         assert counters.edge_examinations == (res.diameter + 1) * g.m
@@ -223,14 +237,22 @@ class TestDiameterEngines:
         # stretch 1 and |E| reachable pairs: the rounds would hold |V|^2
         # bits for what the sweep does in |E| updates
         g = dag_from_edges((f"a{i}", f"b{i}") for i in range(20000))
-        assert _engine_inputs(g) == (1, 20000)
-        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g))
+        assert _engine_inputs(g) == (1, 20000, (0, 1))
+        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g)[:2])
         res, counters = diameter(g)
         assert res.diameter == 1 and res.witness == (0, 1)
         assert counters == all_pairs_distances(g)[1]
         # the same holds for graphs far too big to build here
         assert not _rounds_pay_off(10**6, 5 * 10**5, 1, 5 * 10**5)
         assert not _rounds_pay_off(10**5, 10**5, 10, 10**6)
+
+    def test_balanced_grid_at_paper_scale(self):
+        # 10^6 vertices: the sweep would store about n^2/4 distances
+        g = build_dag(gen_layered_dag(500_001, 2, 1.0, seed=7))
+        res, counters = diameter(g)
+        assert res.diameter == 500_000
+        assert [g.labels[v] for v in res.witness] == ["0", "1000000"]
+        assert counters.distance_updates == 0
 
     def test_empty_graph_skips_stretch(self, monkeypatch):
         # stretch raises EmptyGraph on n = 0, so the engine choice must
@@ -258,6 +280,26 @@ def test_diameter_engines_agree(n, p, seed):
     by_rounds, _ = _diameter_by_rounds(g)
     assert by_rounds == by_all_pairs
     assert by_rounds.diameter == oracle_diameter(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    layers=st.integers(min_value=1, max_value=8),
+    width=st.integers(min_value=1, max_value=5),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_balanced_engine_matches_sweep(layers, width, p, seed):
+    g = build_dag(gen_layered_dag(layers, width, p, seed))
+    res, counters = diameter(g)
+    assert res == _diameter_from_rows(all_pairs_distances(g)[0])
+    if res.diameter >= 2:
+        # layered graphs are balanced, so stretch = diameter and the
+        # balanced engine ran: the pass plus the layering kernel
+        assert counters.distance_updates == 0
+        assert counters.vertex_evaluations == 2 * g.n
+        assert counters.edge_examinations == 3 * g.m
+        assert res.components == len(weakly_connected_components(g))
 
 
 @settings(max_examples=60, deadline=None)
