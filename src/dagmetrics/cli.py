@@ -1,10 +1,11 @@
 """Command-line front end: stretch, diameter, layer, check, gen.
 
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
-(parse failures, cycles, input that is not UTF-8, a closed stdin), 3
-usage errors. A stdout closed by its reader ends the run quietly with 0.
-A closed stderr drops the error message, and a stdout closed before the
-start drops the report; either way the exit code stands.
+(parse failures, cycles, input that is not UTF-8, a closed stdin, input
+too large for memory), 3 usage errors. A stdout closed by its reader
+ends the run quietly with 0. A closed stderr drops the error message,
+and a stdout closed before the start drops the report; either way the
+exit code stands.
 
 Each command builds its `result` once, with external vertex labels,
 and prints one report through `_print_report`: under --json a single
@@ -193,11 +194,10 @@ def _cmd_stretch(args) -> int:
     verified = None
     note = None
     if args.verify:
-        bound = _oracle_bound()
-        if g.n <= bound:
-            verified = res.stretch == oracle.oracle_stretch(g, bound)
-        else:
-            note = f"skipped (n={g.n} exceeds oracle bound {bound})"
+        try:
+            verified = res.stretch == oracle.oracle_stretch(g, _oracle_bound())
+        except oracle.TooLarge as e:
+            note = f"skipped (n={e.n} exceeds oracle bound {e.bound})"
     result = {
         "stretch": res.stretch,
         "witness_source": g.labels[res.witness_source],
@@ -360,6 +360,9 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except DagError as e:
         _warn(str(e))
+        return 2
+    except MemoryError:
+        _warn(f"{args.command}: out of memory")
         return 2
     except BrokenPipeError:
         raise  # stdout closed by the reader; main() ends quietly

@@ -13,12 +13,12 @@ collections, and each full one re-scans every adjacency list of the
 Dag: on a 10^5-vertex chain that was about half of ``build_dag`` and
 most of rendering a layering.
 
-There is one ingest path. ``_scan`` checks the lines and hands each run
-of edge tokens on; ``_Builder`` turns the labels into ids and fills the
-adjacency rows as the runs arrive, then validates. ``read_dag`` joins the
-two directly, so only the first appearance of each label outlives its
-line. ``parse_edge_list`` and ``build_dag`` are the same two halves with
-a list of label pairs between them.
+There is one ingest path of two functions. ``_scan`` checks the lines
+and yields their edges run by run; ``_build`` pulls the runs, turns the
+labels into ids and fills the adjacency rows, then validates. ``read_dag``
+composes the two directly, so only the first appearance of each label
+outlives its line. ``parse_edge_list`` and ``build_dag`` are the same two
+functions with a list of label pairs between them.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from __future__ import annotations
 import gc
 import heapq
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 # Vertices are dense integer indices in [0, n); external labels live in
@@ -136,14 +136,14 @@ def _collector_paused():
 _RUN_LINES = 4096
 
 
-def _scan(text: str, feed: Callable[[Iterator[tuple[str, str]]], object]) -> list[str]:
-    """Check every line of edge-list text and return the lone vertices.
+def _scan(text: str, isolated: list[str]) -> Iterator[Iterator[tuple[str, str]]]:
+    """Check every line of edge-list text and yield its edges run by run.
 
-    The edges go to ``feed`` as (FROM, TO) pairs, one call per
-    ``_RUN_LINES`` lines. Each run's lines are dropped once scanned, so
-    the memory the lines hold falls as the Dag grows.
+    Each run is the (FROM, TO) pairs of ``_RUN_LINES`` lines; lone
+    vertices are appended to ``isolated`` as they are met. Each run's
+    lines are dropped once scanned, so the memory the lines hold falls
+    as the Dag grows.
     """
-    isolated: list[str] = []
     lines = text.splitlines()
     for first in range(0, len(lines), _RUN_LINES):
         chunk = lines[first:first + _RUN_LINES]
@@ -164,84 +164,63 @@ def _scan(text: str, feed: Callable[[Iterator[tuple[str, str]]], object]) -> lis
             if len(tokens) == 2:  # tokens[0] is no comment, so tokens[1] begins with "#"
                 raise MalformedLine(lineno, f"label may not begin with '#': {tokens[1]!r}")
             isolated.append(tokens[0])
-        feed(zip(run[0::2], run[1::2]))
-    return isolated
+        yield zip(run[0::2], run[1::2])
 
 
-class _Builder:
-    """Turns labels into dense ids and fills the adjacency rows as edges
-    arrive, then validates and builds the Dag.
+def _build(runs: Iterable[Iterable[tuple[str, str]]], isolated: list[str]) -> Dag:
+    """Turn labels into dense ids and fill the adjacency rows edge by edge,
+    then add the lone vertices, validate and build the Dag.
 
     Only the first appearance of each label is kept, as a key of
-    ``index_of``. The first self-loop is recorded, not raised, so that a
-    malformed line later in the input is still the error reported.
+    ``index_of``. ``isolated`` is read only after the last edge, so the
+    scanner may fill it while the runs arrive. The first self-loop is
+    recorded, not raised, so that a malformed line later in the input is
+    still the error reported. Errors come in the order self-loop (the
+    first in edge order), duplicate edge (the smallest source, then its
+    smallest target) and cycle (through the smallest vertex the toposort
+    leaves).
     """
-
-    def __init__(self) -> None:
-        self.index_of: dict[str, VertexId] = {}
-        self.out_adj: list[list[VertexId]] = []
-        self.in_adj: list[list[VertexId]] = []
-        self.loop: VertexId | None = None  # source of the first self-loop
-
-    def _add_vertex(self, label: str) -> VertexId:
-        """Give a label not seen before the next id and two empty rows."""
-        u = self.index_of[label] = len(self.out_adj)
-        self.out_adj.append([])
-        self.in_adj.append([])
-        return u
-
-    def add_edges(self, edges: Iterable[tuple[str, str]]) -> None:
-        """Add (FROM, TO) label pairs, in input order."""
-        get = self.index_of.get
-        out_adj, in_adj = self.out_adj, self.in_adj
-        for a, b in edges:
-            u = get(a)
-            if u is None:
-                u = self._add_vertex(a)
-            v = get(b)
-            if v is None:
-                v = self._add_vertex(b)
-            if u == v and self.loop is None:
-                self.loop = u
-            out_adj[u].append(v)
-            in_adj[v].append(u)
-
-    def build(self, isolated: list[str]) -> Dag:
-        """Add the lone vertices after every edge, then validate and build.
-
-        Errors come in the order self-loop, duplicate edge, cycle: the
-        first self-loop in edge order, the duplicate at the smallest
-        source and then its smallest target, and the cycle through the
-        smallest vertex left by the toposort.
-        """
-        index_of, out_adj, in_adj = self.index_of, self.out_adj, self.in_adj
-        for a in isolated:
-            if a not in index_of:
-                self._add_vertex(a)
-        labels = list(index_of)
-        if self.loop is not None:
-            raise SelfLoop(labels[self.loop])
-        m = sum(map(len, out_adj))
-        deque(map(list.sort, out_adj), 0)
-        deque(map(list.sort, in_adj), 0)
-        if sum(map(len, map(set, out_adj))) != m:
-            # Rows are scanned in index order, so the error names the smallest
-            # source with a duplicate, then its smallest duplicated target.
-            for u, row in enumerate(out_adj):
-                for x, y in zip(row, row[1:]):
-                    if x == y:
-                        raise DuplicateEdge(labels[u], labels[x])
-
-        topo = _toposort(out_adj, in_adj, labels)
-        return Dag(
-            n=len(labels),
-            m=m,
-            out_adj=out_adj,
-            in_adj=in_adj,
-            labels=labels,
-            index_of=index_of,
-            topo=topo,
-        )
+    index_of: dict[str, VertexId] = {}
+    out_adj: list[list[VertexId]] = []
+    in_adj: list[list[VertexId]] = []
+    get = index_of.get
+    loop: VertexId | None = None  # source of the first self-loop
+    for a, b in chain.from_iterable(runs):
+        u = get(a)
+        if u is None:
+            u = index_of[a] = len(out_adj)
+            out_adj.append([])
+            in_adj.append([])
+        v = get(b)
+        if v is None:
+            v = index_of[b] = len(out_adj)
+            out_adj.append([])
+            in_adj.append([])
+        if u == v and loop is None:
+            loop = u
+        out_adj[u].append(v)
+        in_adj[v].append(u)
+    for a in isolated:
+        index_of.setdefault(a, len(index_of))
+    lone = len(index_of) - len(out_adj)
+    out_adj += [[] for _ in range(lone)]
+    in_adj += [[] for _ in range(lone)]
+    labels = list(index_of)
+    if loop is not None:
+        raise SelfLoop(labels[loop])
+    m = sum(map(len, out_adj))
+    deque(map(list.sort, out_adj), 0)
+    deque(map(list.sort, in_adj), 0)
+    if sum(map(len, map(set, out_adj))) != m:
+        # Rows are scanned in index order, so the error names the smallest
+        # source with a duplicate, then its smallest duplicated target.
+        for u, row in enumerate(out_adj):
+            for x, y in zip(row, row[1:]):
+                if x == y:
+                    raise DuplicateEdge(labels[u], labels[x])
+    topo = _toposort(out_adj, in_adj, labels)
+    return Dag(n=len(labels), m=m, out_adj=out_adj, in_adj=in_adj, labels=labels,
+               index_of=index_of, topo=topo)
 
 
 @_collector_paused()
@@ -253,9 +232,8 @@ def read_dag(text: str) -> Dag:
     go into the adjacency rows as the lines are scanned, and each run of
     lines is dropped once scanned, so the rows grow as the lines go.
     """
-    builder = _Builder()
-    isolated = _scan(text, builder.add_edges)
-    return builder.build(isolated)
+    isolated: list[str] = []
+    return _build(_scan(text, isolated), isolated)
 
 
 @_collector_paused()
@@ -265,9 +243,8 @@ def parse_edge_list(text: str) -> DagBuildInput:
     Blank lines are skipped; lines whose first non-blank character is '#'
     are comments. Labels are kept verbatim and may not begin with '#'.
     """
-    edges: list[tuple[str, str]] = []
-    isolated = _scan(text, edges.extend)
-    return DagBuildInput(edges=edges, isolated=isolated)
+    isolated: list[str] = []
+    return DagBuildInput(list(chain.from_iterable(_scan(text, isolated))), isolated)
 
 
 @_collector_paused()
@@ -277,9 +254,7 @@ def build_dag(inp: DagBuildInput) -> Dag:
     Raises SelfLoop, DuplicateEdge, or CycleDetected on invalid input; a
     Dag is returned only when a full topological order exists.
     """
-    builder = _Builder()
-    builder.add_edges(inp.edges)
-    return builder.build(inp.isolated)
+    return _build([inp.edges], inp.isolated)
 
 
 def _toposort(

@@ -98,13 +98,8 @@ def stretch(g: Dag) -> tuple[StretchResult, InstrumentationCounters]:
             if lp[c] > best:
                 best = lp[c]
         lp[v] = best + 1
-    top = -1
-    witness = 0
-    for v, value in enumerate(lp):
-        if value > top:
-            top = value
-            witness = v
-    result = StretchResult(lp=lp, stretch=top, witness_source=witness)
+    top = max(lp)
+    result = StretchResult(lp=lp, stretch=top, witness_source=lp.index(top))
     return result, InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
 
 

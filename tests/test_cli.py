@@ -120,6 +120,18 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["result"]["diameter"] == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_out_of_memory_is_input_error(self, capsys, monkeypatch, flags):
+        def exhausted(g):
+            raise MemoryError
+
+        monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", exhausted)
+        code, out, err = run_cli(capsys, "diameter", str(DATA / "diamond.txt"), "--all-pairs", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == "diameter: out of memory\n"
+        assert "Traceback" not in err
+
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe 1\n")
