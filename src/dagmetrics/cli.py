@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
 (parse failures, cycles, input that is not UTF-8, a closed stdin, input
-too large for memory), 3 usage errors. A stdout closed by its reader
-ends the run quietly with 0. A closed stderr drops the error message,
-and a stdout closed before the start drops the report; either way the
-exit code stands.
+too large for memory), 3 usage errors. A label that stdout cannot
+encode prints with backslash escapes, as on stderr. A stdout closed by
+its reader ends the run quietly with 0. A closed stderr drops the error
+message, and a stdout closed before the start drops the report; either
+way the exit code stands.
 
 Each command builds its `result` once, with external vertex labels,
 and prints one report through `_print_report`: under --json a single
@@ -14,7 +15,8 @@ verified`; otherwise text that shows the same facts as `result`,
 rendered from it by the command's text function.
 
 `--verify` compares what the command reports with the matching oracle's
-own answer; no checking logic lives here.
+own answer; no checking logic lives here. Past an oracle's fixed size
+bound, `verified` is null and the text says `skipped (<reason>)`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import sys
 from dagmetrics import core, layering, metrics, oracle
 from dagmetrics.core import Dag, DagError, InstrumentationCounters
 from dagmetrics.layering import LayerAssignment, UnbalancedWitness
-
-ORACLE_BOUND_ENV = "DAGMETRICS_ORACLE_BOUND"
 
 
 class _UsageError(Exception):
@@ -106,16 +106,6 @@ def _read_text(path: str) -> str:
 
 def _load(path: str) -> Dag:
     return core.read_dag(_read_text(path))
-
-
-def _oracle_bound() -> int:
-    raw = os.environ.get(ORACLE_BOUND_ENV)
-    if raw is None:
-        return oracle.SMALL_GRAPH_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}")
 
 
 def _warn(message: str) -> None:
@@ -195,9 +185,9 @@ def _cmd_stretch(args) -> int:
     note = None
     if args.verify:
         try:
-            verified = res.stretch == oracle.oracle_stretch(g, _oracle_bound())
+            verified = res.stretch == oracle.oracle_stretch(g)
         except oracle.TooLarge as e:
-            note = f"skipped (n={e.n} exceeds oracle bound {e.bound})"
+            note = f"skipped ({e})"
     result = {
         "stretch": res.stretch,
         "witness_source": g.labels[res.witness_source],
@@ -231,8 +221,12 @@ def _cmd_diameter(args) -> int:
         res, counters = metrics.diameter(g)
         rows = None
     verified = None
+    note = None
     if args.verify:
-        verified = (res.diameter, res.witness, rows) == oracle.bfs_diameter(g, args.all_pairs)
+        try:
+            verified = (res.diameter, res.witness, rows) == oracle.bfs_diameter(g, args.all_pairs)
+        except oracle.TooLarge as e:
+            note = f"skipped ({e})"
     result = {
         "diameter": res.diameter,
         "witness": None if res.witness is None else [g.labels[v] for v in res.witness],
@@ -244,7 +238,7 @@ def _cmd_diameter(args) -> int:
         ),
     }
     _print_report(args, "diameter", g, result, _diameter_text, counters, verified,
-                  components=res.components)
+                  note=note, components=res.components)
     return 0
 
 
@@ -372,6 +366,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if sys.stdout is not None:  # a label the encoding lacks prints escaped, as on stderr
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = run()
         if sys.stdout is not None:  # None when the process started with stdout closed

@@ -10,8 +10,9 @@ layering oracles give the whole answer their commands report (the
 diameter, its witness and, when asked, the distance rows; a
 `LayerAssignment` or None), so a check is one comparison. Every oracle
 is iterative, so a long path never meets the recursion limit.
-Enumerations are capped at a small vertex count because path counts
-grow exponentially.
+Each costly oracle raises `TooLarge` past one fixed size bound: the path
+enumerations past SMALL_GRAPH_BOUND vertices, as path counts grow
+exponentially, and the per-source BFS past BFS_WORK_BOUND on |V|·(|V|+|E|).
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from collections import Counter, defaultdict, deque
 from dagmetrics.core import Dag, DagBuildInput, DagError, VertexId
 from dagmetrics.layering import LayerAssignment
 
-SMALL_GRAPH_BOUND = 12
+SMALL_GRAPH_BOUND = 12  # vertices, for the path enumerations
+BFS_WORK_BOUND = 4 * 10**7  # |V|·(|V|+|E|), for the per-source BFS: a few seconds at most
 
 
 class TooLarge(DagError):
-    def __init__(self, n: int, bound: int):
-        super().__init__(f"graph has {n} vertices, oracle bound is {bound}")
-        self.n = n
-        self.bound = bound
+    """The graph is past an oracle's bound; the message names what was measured and the bound."""
 
 
 def _path_lengths_from(g: Dag, u: VertexId, bound: int) -> dict[VertexId, Counter]:
@@ -41,7 +40,7 @@ def _path_lengths_from(g: Dag, u: VertexId, bound: int) -> dict[VertexId, Counte
     nonempty paths count.
     """
     if g.n > bound:
-        raise TooLarge(g.n, bound)
+        raise TooLarge(f"n={g.n} exceeds oracle bound {bound}")
     reached: defaultdict[VertexId, Counter] = defaultdict(Counter)
     out_adj = g.out_adj
     stack = [(u, 0)]
@@ -92,8 +91,12 @@ def bfs_diameter(
 
     The witness is the lexicographically smallest pair at the largest
     distance: the first source whose BFS reaches it, and the smallest
-    vertex there. A source that reaches nothing has no row.
+    vertex there. A source that reaches nothing has no row. Raises
+    TooLarge when |V|·(|V|+|E|) is over BFS_WORK_BOUND.
     """
+    work = g.n * (g.n + g.m)
+    if work > BFS_WORK_BOUND:
+        raise TooLarge(f"n*(n+m)={work} exceeds oracle bound {BFS_WORK_BOUND}")
     rows = {} if keep_rows else None
     best = 0
     witness = None

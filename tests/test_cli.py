@@ -211,6 +211,28 @@ class TestExitCodes:
         assert proc.returncode == expected_code
         assert b"Traceback" not in proc.stderr
 
+    def test_label_stdout_cannot_encode_is_escaped(self, tmp_path):
+        # an ASCII stdout prints é as \xe9, and check keeps its 0/1 verdict
+        def run_ascii(command, text):
+            path = tmp_path / f"{command}.txt"
+            path.write_text(text, encoding="utf-8")
+            return subprocess.run(
+                [sys.executable, "-m", "dagmetrics", command, str(path)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONIOENCODING": "ascii"},
+                timeout=60,
+            )
+
+        proc = run_ascii("stretch", "\u00e9 b\n")
+        assert proc.returncode == 0
+        assert "witness source: \\xe9\n" in proc.stdout
+        assert "Traceback" not in proc.stderr
+        proc = run_ascii("check", "a \u00e9\n\u00e9 b\na b\n")
+        assert proc.returncode == 1
+        assert "\\xe9" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_check_unbalanced_exits_one(self, capsys):
         code, _, _ = run_cli(capsys, "check", str(DATA / "skewed.txt"))
         assert code == 1
@@ -341,22 +363,49 @@ class TestVerify:
             assert code in (0, 1), (sub, err)
             json.loads(out)
 
-    def test_oracle_bound_env_skips_verification(self, capsys, monkeypatch):
-        monkeypatch.setenv("DAGMETRICS_ORACLE_BOUND", "3")
-        code, out, _ = run_cli(capsys, "stretch", str(DATA / "diamond.txt"), "--verify")
+    def test_stretch_verify_skipped_past_oracle_bound(self, capsys, tmp_path):
+        chain = tmp_path / "chain13.txt"
+        chain.write_text("".join(f"{i} {i + 1}\n" for i in range(12)))
+        code, out, _ = run_cli(capsys, "stretch", str(chain), "--verify")
         assert code == 0
-        assert "verified: skipped (n=4 exceeds oracle bound 3)" in out
+        assert "verified: skipped (n=13 exceeds oracle bound 12)" in out
 
-    def test_oracle_bound_env_json_null(self, capsys, monkeypatch):
-        monkeypatch.setenv("DAGMETRICS_ORACLE_BOUND", "3")
-        code, out, _ = run_cli(capsys, "stretch", str(DATA / "diamond.txt"), "--json", "--verify")
+    def test_stretch_verify_skipped_is_json_null(self, capsys, tmp_path):
+        chain = tmp_path / "chain13.txt"
+        chain.write_text("".join(f"{i} {i + 1}\n" for i in range(12)))
+        code, out, _ = run_cli(capsys, "stretch", str(chain), "--json", "--verify")
+        assert code == 0
         assert json.loads(out)["verified"] is None
 
-    def test_invalid_oracle_bound_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("DAGMETRICS_ORACLE_BOUND", "twelve")
-        code, _, err = run_cli(capsys, "stretch", str(DATA / "diamond.txt"), "--verify")
-        assert code == 3
-        assert "DAGMETRICS_ORACLE_BOUND" in err
+    @pytest.mark.parametrize("value", ["3", "twelve"])
+    def test_oracle_bound_env_is_ignored(self, capsys, monkeypatch, value):
+        # the bound is the oracle's own constant, not a setting
+        monkeypatch.setenv("DAGMETRICS_ORACLE_BOUND", value)
+        code, out, _ = run_cli(capsys, "stretch", str(DATA / "diamond.txt"), "--verify")
+        assert code == 0
+        assert out.splitlines()[-1] == "verified: true"
+
+    def test_diameter_verify_skipped_past_bfs_bound(self, capsys, monkeypatch):
+        # the diamond's n*(n+m) is 4*8 = 32: past a bound of 31 no BFS runs
+        from dagmetrics import oracle
+
+        def no_bfs(g, source):
+            raise AssertionError("the oracle ran past its bound")
+
+        diamond = str(DATA / "diamond.txt")
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "BFS_WORK_BOUND", 31)
+            patch.setattr(oracle, "bfs_distances", no_bfs)
+            code, out, _ = run_cli(capsys, "diameter", diamond, "--verify")
+            assert code == 0
+            assert out.splitlines()[-1] == "verified: skipped (n*(n+m)=32 exceeds oracle bound 31)"
+            code, out, _ = run_cli(capsys, "diameter", diamond, "--json", "--verify")
+            assert code == 0
+            assert json.loads(out)["verified"] is None
+        monkeypatch.setattr(oracle, "BFS_WORK_BOUND", 32)
+        code, out, _ = run_cli(capsys, "diameter", diamond, "--verify")
+        assert code == 0
+        assert out.splitlines()[-1] == "verified: true"
 
     def test_off_by_one_build_flips_verified_false(self, capsys, monkeypatch):
         # simulate a buggy analysis: report every stretch one too large

@@ -26,6 +26,7 @@ from dagmetrics import (
     sources,
     topological_order,
 )
+from dagmetrics import oracle
 from dagmetrics.oracle import bfs_diameter
 from graphs import (
     analytic_graphs,
@@ -182,6 +183,16 @@ class TestBfsDiameter:
     def test_edgeless(self):
         g = build_dag(DagBuildInput(edges=[], isolated=["a"]))
         assert bfs_diameter(g, keep_rows=True) == (0, None, {})
+
+    def test_bound_enforced(self, monkeypatch):
+        # the diamond's n*(n+m) is 4*8 = 32
+        monkeypatch.setattr(oracle, "BFS_WORK_BOUND", 31)
+        for run in (bfs_diameter, oracle_diameter):
+            with pytest.raises(TooLarge) as exc:
+                run(diamond())
+            assert str(exc.value) == "n*(n+m)=32 exceeds oracle bound 31"
+        monkeypatch.setattr(oracle, "BFS_WORK_BOUND", 32)
+        assert oracle_diameter(diamond()) == 2
 
 
 class TestOracleLayers:
