@@ -24,7 +24,6 @@ functions with a list of label pairs between them.
 from __future__ import annotations
 
 import gc
-import heapq
 from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -102,7 +101,7 @@ class Dag:
     in_adj: list[list[VertexId]]  # per vertex, sorted by source index
     labels: list[str]  # index -> external label
     index_of: dict[str, VertexId]  # external label -> index
-    topo: list[VertexId]  # lexicographically smallest topological order
+    topo: list[VertexId]  # a topological order
 
 
 @dataclass
@@ -260,20 +259,19 @@ def build_dag(inp: DagBuildInput) -> Dag:
 def _toposort(
     out_adj: list[list[VertexId]], in_adj: list[list[VertexId]], labels: list[str]
 ) -> list[VertexId]:
-    """Kahn's algorithm with a min-heap: smallest eligible index first."""
-    n = len(labels)
+    """Kahn's algorithm, first in first out: the order itself is the queue.
+
+    No result depends on which order this is. The vertices left on or
+    after a cycle, and so the reported cycle, are the same in any.
+    """
     indeg = [len(preds) for preds in in_adj]
-    heap = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order: list[VertexId] = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
+    order = [v for v, d in enumerate(indeg) if not d]
+    for u in order:  # the loop reads the vertices appended behind it
         for v in out_adj[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) < n:
+            if not indeg[v]:
+                order.append(v)
+    if len(order) < len(labels):
         raise CycleDetected(_extract_cycle(in_adj, indeg, labels))
     return order
 
@@ -300,7 +298,7 @@ def _extract_cycle(
 
 
 def topological_order(g: Dag) -> list[VertexId]:
-    """Deterministic topological order, ties broken by smallest index."""
+    """A topological order of g, the same on every run."""
     return g.topo
 
 

@@ -9,10 +9,9 @@ actually performed; counters are fresh per call.
   edge (p, c) counts 1 + |row of c| distance updates, so there are at
   most |E|*|V|.
 * ``diameter`` is the one engine dispatcher. On a graph with edges it
-  first makes one reverse-topological pass (``_engine_inputs``) that
-  gives the stretch, a bound on the sweep's work, and the smallest end
-  of a longest path from each vertex. It then runs one of three engines
-  and reports that engine's counters:
+  first makes ``stretch``'s reverse-topological pass (``_longest_paths``),
+  which also gives the smallest end of a longest path from each vertex.
+  It then runs one of three engines and reports that engine's counters:
 
   - the balanced engine, taken when stretch >= 2 and the layering
     kernel (``layering.layer_traversal``) finds the graph balanced.
@@ -26,14 +25,15 @@ actually performed; counters are fresh per call.
     exactly when stretch >= 2;
   - otherwise the all-pairs sweep above, with its counters unchanged,
     or bit-parallel reach rounds, chosen from |V|, |E|, stretch and a
-    bound on the sweep's work (see ``_rounds_pay_off``). The rounds
+    bound on the sweep's work (see ``_rounds_pay_off``). The bound takes
+    a pass of its own (``_sweep_bound``), made only here. The rounds
     take diameter+1 rounds (at most stretch+1, since diameter <=
     stretch). Each round counts |V| vertex evaluations and |E| edge
     examinations, and distance_updates is the number of reachable
     ordered pairs, each of whose distance is set once, by the round
     that first reaches it. That is at most |E|*|V|.
 
-  Neither the dispatch pass nor a balance probe that finds a conflict
+  Neither the two passes nor a balance probe that finds a conflict
   counts toward the sweep or the rounds: their counters are the
   engine's own.
 """
@@ -80,13 +80,27 @@ def stretch(g: Dag) -> tuple[StretchResult, InstrumentationCounters]:
 
     Each vertex is evaluated exactly once (sinks get lp = 0, every other
     vertex 1 + max over successors), so the counters come out to exactly
-    |V| vertex evaluations and |E| edge examinations. Iterative on
-    purpose: recursion would overflow on long chains.
+    |V| vertex evaluations and |E| edge examinations.
     """
     if g.n == 0:
         raise EmptyGraph()
+    lp, _, ve, ee = _longest_paths(g)
+    top = max(lp)
+    result = StretchResult(lp=lp, stretch=top, witness_source=lp.index(top))
+    return result, InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
+
+
+def _longest_paths(g: Dag) -> tuple[list[int], list[VertexId], int, int]:
+    """lp, far and the vertices and edges evaluated, in one reverse-topological pass.
+
+    far[v] is the smallest end of a longest path from v: v at a sink, else
+    the smallest far[c] over the successors c with lp[c] = lp[v] - 1. Any
+    topological order gives the same lp and far. Iterative on purpose:
+    recursion would overflow on long chains.
+    """
     out_adj = g.out_adj
     lp = [0] * g.n
+    far = [0] * g.n
     ve = 0
     ee = 0
     for v in reversed(topological_order(g)):
@@ -94,13 +108,17 @@ def stretch(g: Dag) -> tuple[StretchResult, InstrumentationCounters]:
         row = out_adj[v]
         ee += len(row)
         best = -1
+        end = v
         for c in row:
-            if lp[c] > best:
-                best = lp[c]
+            lc = lp[c]
+            if lc > best:
+                best = lc
+                end = far[c]
+            elif lc == best and far[c] < end:
+                end = far[c]
         lp[v] = best + 1
-    top = max(lp)
-    result = StretchResult(lp=lp, stretch=top, witness_source=lp.index(top))
-    return result, InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
+        far[v] = end
+    return lp, far, ve, ee
 
 
 def all_pairs_distances(g: Dag) -> tuple[DistanceMap, InstrumentationCounters]:
@@ -153,60 +171,42 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     counters (see the module docstring).
     """
     if g.m:
-        longest, sweep_updates, ends = _engine_inputs(g)
+        lp, far, ve, ee = _longest_paths(g)
+        longest = max(lp)
         if longest >= 2:
             outcome, probe = layering.layer_traversal(g)
             if isinstance(outcome, layering.LayerAssignment):
                 counters = InstrumentationCounters(
-                    vertex_evaluations=g.n + probe.vertex_evaluations,
-                    edge_examinations=g.m + probe.edge_examinations,
+                    vertex_evaluations=ve + probe.vertex_evaluations,
+                    edge_examinations=ee + probe.edge_examinations,
                 )
-                result = DiameterResult(longest, ends, components=outcome.components)
+                u = lp.index(longest)
+                result = DiameterResult(longest, (u, far[u]), components=outcome.components)
                 return result, counters
-        if _rounds_pay_off(g.n, g.m, longest, sweep_updates):
+        if _rounds_pay_off(g.n, g.m, longest, _sweep_bound(g)):
             return _diameter_by_rounds(g)
     rows, counters = all_pairs_distances(g)
     return _diameter_from_rows(rows), counters
 
 
-def _engine_inputs(g: Dag) -> tuple[int, int, tuple[VertexId, VertexId]]:
-    """Stretch, a bound on the sweep's distance updates, and the ends of
-    a longest path, in one pass over a graph with vertices.
+def _sweep_bound(g: Dag) -> int:
+    """A bound on the sweep's distance updates, in one pass over g.
 
     The sweep spends 1 + |desc(c)| updates on each edge (p, c). The
     number of paths leaving a vertex, capped at |V|-1, bounds its
     descendant count from above and is exact on forests and chains.
-
-    far[v] is the smallest end of a longest path from v: v itself at a
-    sink, else the smallest far[c] over the successors c with
-    lp[c] = lp[v] - 1. The pair returned is (u, far[u]) for the smallest
-    u with lp[u] = stretch, the balanced engine's witness.
     """
     cap = g.n - 1
     out_adj = g.out_adj
-    lp = [0] * g.n
-    far = [0] * g.n  # smallest end of a longest path from v
     below = [0] * g.n  # capped path count from v, >= |desc(v)|
     updates = 0
     for v in reversed(topological_order(g)):
-        best = -1
-        end = v
         paths = 0
         for c in out_adj[v]:
-            lc = lp[c]
-            if lc > best:
-                best = lc
-                end = far[c]
-            elif lc == best and far[c] < end:
-                end = far[c]
             paths += 1 + below[c]
-        lp[v] = best + 1
-        far[v] = end
         below[v] = paths if paths < cap else cap
         updates += paths
-    longest = max(lp)
-    u = lp.index(longest)
-    return longest, updates, (u, far[u])
+    return updates
 
 
 def _rounds_pay_off(n: int, m: int, longest_path: int, sweep_updates: int) -> bool:

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +24,9 @@ from dagmetrics import (
 from dagmetrics.metrics import (
     _diameter_by_rounds,
     _diameter_from_rows,
-    _engine_inputs,
+    _longest_paths,
     _rounds_pay_off,
+    _sweep_bound,
 )
 from graphs import (
     analytic_graphs,
@@ -203,32 +207,34 @@ class TestDiameterEngines:
         # n(n-1)/2 reachable pairs, so the bound is tight there; the
         # one longest path runs from the first vertex to the last
         g = chain(1000)
-        assert _engine_inputs(g) == (999, 999 * 1000 // 2, (0, 999))
+        lp, far, _, _ = _longest_paths(g)
+        assert (max(lp), far[0], _sweep_bound(g)) == (999, 999, 999 * 1000 // 2)
         assert all_pairs_distances(g)[1].distance_updates == 999 * 1000 // 2
         for g in list(corpus_small()) + analytic_graphs():
-            longest, bound, (u, end) = _engine_inputs(g)
+            lp, far, _, _ = _longest_paths(g)
             sres, _ = stretch(g)
-            assert longest == sres.stretch
+            assert lp == sres.lp
+            bound = _sweep_bound(g)
             assert all_pairs_distances(g)[1].distance_updates <= bound <= g.m * g.n
-            if longest:
-                # u starts a longest path, and end is the smallest vertex
-                # that one of them reaches
-                assert u == sres.witness_source
-                ends = [v for v in range(g.n) if longest in enumerate_path_lengths(g, u, v)]
-                assert end == min(ends)
+            if sres.stretch:
+                # u starts a longest path, and far[u] is the smallest
+                # vertex that one of them reaches
+                u = sres.witness_source
+                ends = [v for v in range(g.n) if sres.stretch in enumerate_path_lengths(g, u, v)]
+                assert far[u] == min(ends)
 
     def test_chain_takes_all_pairs(self):
         # the skip edge 0 -> 2 unbalances the chain, so the balanced
         # engine does not apply and the sweep beats the rounds
         g = dag_from_edges([(str(i), str(i + 1)) for i in range(999)] + [("0", "2")])
-        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g)[:2])
+        assert not _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch, _sweep_bound(g))
         res, counters = diameter(g)
         assert res.diameter == 998 and res.witness == (0, 999)
         assert counters == all_pairs_distances(g)[1]
 
     def test_dense_random_takes_rounds(self):
         g = random_dag(1200, 0.025, 1)
-        assert _rounds_pay_off(g.n, g.m, *_engine_inputs(g)[:2])
+        assert _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch, _sweep_bound(g))
         res, counters = diameter(g)
         assert res == _diameter_from_rows(all_pairs_distances(g)[0])
         assert counters.edge_examinations == (res.diameter + 1) * g.m
@@ -237,8 +243,9 @@ class TestDiameterEngines:
         # stretch 1 and |E| reachable pairs: the rounds would hold |V|^2
         # bits for what the sweep does in |E| updates
         g = dag_from_edges((f"a{i}", f"b{i}") for i in range(20000))
-        assert _engine_inputs(g) == (1, 20000, (0, 1))
-        assert not _rounds_pay_off(g.n, g.m, *_engine_inputs(g)[:2])
+        lp, far, _, _ = _longest_paths(g)
+        assert (max(lp), _sweep_bound(g), far[0]) == (1, 20000, 1)
+        assert not _rounds_pay_off(g.n, g.m, 1, _sweep_bound(g))
         res, counters = diameter(g)
         assert res.diameter == 1 and res.witness == (0, 1)
         assert counters == all_pairs_distances(g)[1]
@@ -254,6 +261,28 @@ class TestDiameterEngines:
         assert [g.labels[v] for v in res.witness] == ["0", "1000000"]
         assert counters.distance_updates == 0
 
+    def test_sweep_bound_only_where_engine_chosen(self, monkeypatch):
+        # the balanced engine needs no bound on the sweep, so its pass runs
+        # only where the rounds and the sweep are weighed, once
+        def no_bound(g):
+            raise AssertionError("sweep bound computed")
+
+        monkeypatch.setattr("dagmetrics.metrics._sweep_bound", no_bound)
+        for g in (build_dag(gen_layered_dag(40, 3, 1.0, seed=7)), chain(1000)):
+            assert diameter(g)[1].distance_updates == 0
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return _sweep_bound(g)
+
+        monkeypatch.setattr("dagmetrics.metrics._sweep_bound", counted)
+        skip = dag_from_edges([(str(i), str(i + 1)) for i in range(999)] + [("0", "2")])
+        for g in (skewed(), skip):
+            calls.clear()
+            diameter(g)
+            assert calls == [g]
+
     def test_empty_graph_skips_stretch(self, monkeypatch):
         # stretch raises EmptyGraph on n = 0, so the engine choice must
         # not run there; a graph without edges needs no rounds either
@@ -261,7 +290,8 @@ class TestDiameterEngines:
             raise AssertionError("engine choice made")
 
         monkeypatch.setattr("dagmetrics.metrics.stretch", no_choice)
-        monkeypatch.setattr("dagmetrics.metrics._engine_inputs", no_choice)
+        monkeypatch.setattr("dagmetrics.metrics._longest_paths", no_choice)
+        monkeypatch.setattr("dagmetrics.metrics._sweep_bound", no_choice)
         for isolated in ([], ["a", "b"]):
             res, _ = diameter(build_dag(DagBuildInput(edges=[], isolated=isolated)))
             assert res.diameter == 0
@@ -300,6 +330,39 @@ def test_balanced_engine_matches_sweep(layers, width, p, seed):
         assert counters.vertex_evaluations == 2 * g.n
         assert counters.edge_examinations == 3 * g.m
         assert res.components == len(weakly_connected_components(g))
+
+
+def with_random_topo(g, seed):
+    """g with its topological order swapped for a seeded random one:
+    Kahn's algorithm taking a random ready vertex each step, which can
+    give every topological order."""
+    rng = random.Random(seed)
+    indeg = [len(preds) for preds in g.in_adj]
+    ready = [v for v in range(g.n) if not indeg[v]]
+    order = []
+    while ready:
+        u = ready.pop(rng.randrange(len(ready)))
+        order.append(u)
+        for v in g.out_adj[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    return dataclasses.replace(g, topo=order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    layered=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_results_independent_of_topological_order(n, p, layered, seed):
+    # layered graphs are balanced, so they take the balanced engine
+    g = build_dag(gen_layered_dag(n, 2, p, seed)) if layered else random_dag(n, p, seed)
+    h = with_random_topo(g, seed)
+    for analysis in (stretch, diameter, all_pairs_distances, _diameter_by_rounds):
+        assert analysis(h) == analysis(g)
 
 
 @settings(max_examples=60, deadline=None)
