@@ -2,10 +2,11 @@
 
 Everything here exists to double-check the fast algorithms, so none of
 it shares an algorithm with `metrics` or `layering`: longest paths come
-from exhaustive enumeration, diameter from per-source BFS, and layers
-from an offset-carrying union-find. The path-enumeration oracles share
-one walk that lists every directed path leaving a source exactly once,
-with no memo per vertex, and run it once per source. The diameter and
+from exhaustive enumeration, diameter from an unpruned BFS from every
+source over a distance list, and layers from an offset-carrying
+union-find. The path-enumeration oracles share one walk that lists
+every directed path leaving a source exactly once, with no memo per
+vertex, and run it once per source. The diameter and
 layering oracles give the whole answer their commands report (the
 diameter, its witness and, when asked, the distance rows; a
 `LayerAssignment` or None), so a check is one comparison. Every oracle
@@ -18,7 +19,7 @@ exponentially, and the per-source BFS past BFS_WORK_BOUND on |V|·(|V|+|E|).
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 
 from dagmetrics.core import Dag, DagBuildInput, DagError, VertexId
 from dagmetrics.layering import LayerAssignment
@@ -66,22 +67,34 @@ def oracle_stretch(g: Dag, bound: int = SMALL_GRAPH_BOUND) -> int:
     return max((max(lengths) for walk in walks for lengths in walk.values()), default=0)
 
 
+def _bfs(g: Dag, source: VertexId) -> tuple[list[VertexId], list[int]]:
+    """BFS from source: (visit order, distances), with -1 where unreached.
+
+    The visit order is also the FIFO queue, since the loop appends to
+    the list it walks, and it starts with the source at distance 0.
+    BFS visits vertices in nondecreasing distance, so the last one in
+    the order is the farthest.
+    """
+    out_adj = g.out_adj
+    dist = [-1] * g.n
+    dist[source] = 0
+    order = [source]
+    for x in order:
+        dv = dist[x] + 1
+        for v in out_adj[x]:
+            if dist[v] < 0:
+                dist[v] = dv
+                order.append(v)
+    return order, dist
+
+
 def bfs_distances(g: Dag, source: VertexId) -> dict[VertexId, int]:
     """Shortest directed distance from source to each reachable vertex.
 
     The source itself is excluded: only nonempty paths count.
     """
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.out_adj[u]:
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    del dist[source]
-    return dist
+    order, dist = _bfs(g, source)
+    return {v: dist[v] for v in order[1:]}
 
 
 def bfs_diameter(
@@ -89,10 +102,12 @@ def bfs_diameter(
 ) -> tuple[int, tuple[VertexId, VertexId] | None, dict[VertexId, dict[VertexId, int]] | None]:
     """Diameter, witness and (if keep_rows, else None) distance rows, by one BFS per source.
 
-    The witness is the lexicographically smallest pair at the largest
-    distance: the first source whose BFS reaches it, and the smallest
-    vertex there. A source that reaches nothing has no row. Raises
-    TooLarge when |V|·(|V|+|E|) is over BFS_WORK_BOUND.
+    Each BFS fills a distance list, and its visit order ends at the
+    farthest vertex, so no row is built unless keep_rows asks for the
+    rows. The witness is the lexicographically smallest pair at the
+    largest distance: the first source whose BFS reaches it, and the
+    smallest vertex there. A source that reaches nothing has no row.
+    Raises TooLarge when |V|·(|V|+|E|) is over BFS_WORK_BOUND.
     """
     work = g.n * (g.n + g.m)
     if work > BFS_WORK_BOUND:
@@ -101,15 +116,15 @@ def bfs_diameter(
     best = 0
     witness = None
     for u in range(g.n):
-        dist = bfs_distances(g, u)
-        if not dist:
+        order, dist = _bfs(g, u)
+        if len(order) == 1:
             continue
         if rows is not None:
-            rows[u] = dist
-        far = max(dist.values())
+            rows[u] = {v: dist[v] for v in order[1:]}
+        far = dist[order[-1]]
         if far > best:
             best = far
-            witness = (u, min(v for v, d in dist.items() if d == far))
+            witness = (u, min(v for v in order if dist[v] == far))
     return best, witness, rows
 
 

@@ -395,7 +395,7 @@ class TestVerify:
         diamond = str(DATA / "diamond.txt")
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "BFS_WORK_BOUND", 31)
-            patch.setattr(oracle, "bfs_distances", no_bfs)
+            patch.setattr(oracle, "_bfs", no_bfs)
             code, out, _ = run_cli(capsys, "diameter", diamond, "--verify")
             assert code == 0
             assert out.splitlines()[-1] == "verified: skipped (n*(n+m)=32 exceeds oracle bound 31)"
@@ -471,7 +471,7 @@ class TestVerify:
 
         counted("metrics.all_pairs_distances", metrics.all_pairs_distances)
         counted("metrics._diameter_by_rounds", metrics._diameter_by_rounds)
-        counted("oracle.bfs_distances", oracle.bfs_distances)
+        counted("oracle._bfs", oracle._bfs)
         for path, n, flags, engines in [
             (skip, 100, ["--verify"], ["metrics.all_pairs_distances"]),
             (skip, 100, ["--all-pairs", "--verify"], ["metrics.all_pairs_distances"]),
@@ -486,7 +486,7 @@ class TestVerify:
             assert code == 0
             assert json.loads(out)["verified"] is ("--verify" in flags or None)
             bfs = n if "--verify" in flags else 0
-            assert sorted(calls) == sorted(engines + ["oracle.bfs_distances"] * bfs), (path.name, flags)
+            assert sorted(calls) == sorted(engines + ["oracle._bfs"] * bfs), (path.name, flags)
 
     def test_layer_verify_true_on_balanced(self, capsys):
         code, out, _ = run_cli(capsys, "layer", str(DATA / "two_comps.txt"), "--json", "--verify")

@@ -12,6 +12,7 @@ from dagmetrics import (
     DagBuildInput,
     LayerAssignment,
     TooLarge,
+    bfs_distances,
     build_dag,
     enumerate_path_lengths,
     gen_layered_dag,
@@ -38,6 +39,18 @@ from graphs import (
     gap,
     skewed,
 )
+
+
+class CountingRows(list):
+    """Adjacency rows that count how often a row is read by index."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
 def reference_path_lengths(g, u, v):
@@ -131,17 +144,9 @@ class TestOneWalkPerSource:
     def test_each_source_walked_once(self, oracle):
         # a walk from vertex i of chain(60) follows 60 - i paths and reads
         # one row per path; one walk per ordered pair would read 71 980
-        class CountingRows(list):
-            reads = 0
-
-            def __getitem__(self, i):
-                CountingRows.reads += 1
-                return super().__getitem__(i)
-
-        g = chain(60)
-        g = dataclasses.replace(g, out_adj=CountingRows(g.out_adj))
-        oracle(g, bound=60)
-        assert CountingRows.reads <= 60 * 61 // 2
+        rows = CountingRows(chain(60).out_adj)
+        oracle(dataclasses.replace(chain(60), out_adj=rows), bound=60)
+        assert rows.reads <= 60 * 61 // 2
 
 
 class TestOracleStretch:
@@ -183,6 +188,37 @@ class TestBfsDiameter:
     def test_edgeless(self):
         g = build_dag(DagBuildInput(edges=[], isolated=["a"]))
         assert bfs_diameter(g, keep_rows=True) == (0, None, {})
+
+    def test_each_source_walked_once(self):
+        # the BFS from vertex i of chain(60) reads the rows of the 60 - i
+        # vertices it visits, and picking the witness reads none
+        rows = CountingRows(chain(60).out_adj)
+        assert bfs_diameter(dataclasses.replace(chain(60), out_adj=rows)) == (59, (0, 59), None)
+        assert rows.reads <= 60 * 61 // 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from(["random", "layered"]),
+        size=st.integers(min_value=1, max_value=30),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_rows_from_bfs_distances(self, model, size, p, seed):
+        if model == "random":
+            inp = gen_random_dag(size, p, seed)
+        else:
+            width = 1 + seed % 3
+            inp = gen_layered_dag(max(1, size // width), width, p, seed)
+        # one more vertex with no edges, so every graph has an isolated one
+        g = build_dag(DagBuildInput(edges=inp.edges, isolated=[*inp.isolated, "lone"]))
+        rows = {u: row for u in range(g.n) if (row := bfs_distances(g, u))}
+        best = max((d for row in rows.values() for d in row.values()), default=0)
+        witness = min(
+            ((u, v) for u, row in rows.items() for v, d in row.items() if d == best), default=None
+        )
+        assert bfs_diameter(g, keep_rows=True) == (best, witness, rows)
+        assert bfs_diameter(g) == (best, witness, None)
+        assert sinks(g) and not sinks(g) & rows.keys()
 
     def test_bound_enforced(self, monkeypatch):
         # the diamond's n*(n+m) is 4*8 = 32
