@@ -27,9 +27,6 @@ from dagmetrics.core import (
     build_dag,
     parse_edge_list,
     read_dag,
-    sinks,
-    sources,
-    topological_order,
     weakly_connected_components,
 )
 from dagmetrics.layering import (
@@ -98,10 +95,7 @@ __all__ = [
     "oracle_stretch",
     "parse_edge_list",
     "read_dag",
-    "sinks",
-    "sources",
     "stretch",
-    "topological_order",
     "weakly_connected_components",
     "__version__",
 ]

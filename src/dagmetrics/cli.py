@@ -49,23 +49,22 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="machine-readable report")
     common.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
 
-    p = sub.add_parser("stretch", parents=[common], help="longest directed path length")
-    p.add_argument("file", help="edge-list file, or - for stdin")
+    graph = _Parser(add_help=False)
+    graph.add_argument("file", help="edge-list file, or - for stdin")
+
+    p = sub.add_parser("stretch", parents=[common, graph], help="longest directed path length")
     p.add_argument("--per-vertex", action="store_true", help="also print lp for every vertex")
     p.set_defaults(func=_cmd_stretch)
 
-    p = sub.add_parser("diameter", parents=[common], help="maximum shortest directed distance")
-    p.add_argument("file", help="edge-list file, or - for stdin")
+    p = sub.add_parser("diameter", parents=[common, graph], help="maximum shortest directed distance")
     p.add_argument("--all-pairs", action="store_true", help="also dump every shortest distance")
     p.set_defaults(func=_cmd_diameter)
 
-    p = sub.add_parser("layer", parents=[common], help="assign layers or report a conflict")
-    p.add_argument("file", help="edge-list file, or - for stdin")
+    p = sub.add_parser("layer", parents=[common, graph], help="assign layers or report a conflict")
     p.add_argument("--algo", choices=["pq", "traversal"], default="traversal")
     p.set_defaults(func=_cmd_layer)
 
-    p = sub.add_parser("check", parents=[common], help="balanced verdict (exit 1 when unbalanced)")
-    p.add_argument("file", help="edge-list file, or - for stdin")
+    p = sub.add_parser("check", parents=[common, graph], help="balanced verdict (exit 1 when unbalanced)")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen", parents=[common], help="emit a seeded random DAG as edge-list text")
@@ -133,7 +132,7 @@ def _components(g: Dag, known: int | None) -> int:
     return len(core.weakly_connected_components(g))
 
 
-def _print_report(args, command: str, g: Dag, result: dict, render,
+def _print_report(args, g: Dag, result: dict, render,
                   counters: InstrumentationCounters, verified: bool | None, *,
                   note: str | None = None, components: int | None = None,
                   bare: bool = False) -> None:
@@ -148,7 +147,7 @@ def _print_report(args, command: str, g: Dag, result: dict, render,
     """
     if args.json:
         report = {
-            "command": command,
+            "command": args.command,
             "input": {"vertices": g.n, "edges": g.m, "components": _components(g, components)},
             "result": result,
             "counters": dataclasses.asdict(counters),
@@ -194,7 +193,7 @@ def _cmd_stretch(args) -> int:
         "witness_source_index": res.witness_source,
         "lp": dict(zip(g.labels, res.lp)) if args.per_vertex else None,
     }
-    _print_report(args, "stretch", g, result, _stretch_text, counters, verified, note=note)
+    _print_report(args, g, result, _stretch_text, counters, verified, note=note)
     return 0
 
 
@@ -237,7 +236,7 @@ def _cmd_diameter(args) -> int:
             else None
         ),
     }
-    _print_report(args, "diameter", g, result, _diameter_text, counters, verified,
+    _print_report(args, g, result, _diameter_text, counters, verified,
                   note=note, components=res.components)
     return 0
 
@@ -293,7 +292,7 @@ def _cmd_layer(args) -> int:
         "layers": _layers(g, outcome) if balanced else None,
         "witness": None if balanced else _conflict(g, outcome),
     }
-    _print_report(args, "layer", g, result, _layer_text, counters, verified,
+    _print_report(args, g, result, _layer_text, counters, verified,
                   components=outcome.components if balanced else None)
     return 0
 
@@ -304,7 +303,7 @@ def _cmd_check(args) -> int:
     balanced = isinstance(outcome, LayerAssignment)
     verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
     result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
-    _print_report(args, "check", g, result, _check_text, counters, verified,
+    _print_report(args, g, result, _check_text, counters, verified,
                   components=outcome.components if balanced else None)
     return 0 if balanced else 1
 
@@ -333,7 +332,7 @@ def _cmd_gen(args) -> int:
         verified = oracle.oracle_graded(g) if args.layered is not None else True
     # the edge pairs are tuples, which JSON writes as arrays
     result = {"edges": inp.edges, "isolated": inp.isolated}
-    _print_report(args, "gen", g, result, _gen_text, InstrumentationCounters(), verified, bare=True)
+    _print_report(args, g, result, _gen_text, InstrumentationCounters(), verified, bare=True)
     return 0
 
 

@@ -297,21 +297,6 @@ def _extract_cycle(
     return [labels[v] for v in cycle]
 
 
-def topological_order(g: Dag) -> list[VertexId]:
-    """A topological order of g, the same on every run."""
-    return g.topo
-
-
-def sources(g: Dag) -> set[VertexId]:
-    """Vertices with no incoming edges."""
-    return {v for v in range(g.n) if not g.in_adj[v]}
-
-
-def sinks(g: Dag) -> set[VertexId]:
-    """Vertices with no outgoing edges."""
-    return {v for v in range(g.n) if not g.out_adj[v]}
-
-
 def weakly_connected_components(g: Dag) -> list[list[VertexId]]:
     """Components of the underlying undirected graph.
 
@@ -326,19 +311,15 @@ def weakly_connected_components(g: Dag) -> list[list[VertexId]]:
         cid = len(comps)
         comp[s] = cid
         members = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        for u in members:  # the loop reads the vertices appended behind it
             for v in out_adj[u]:
                 if comp[v] == -1:
                     comp[v] = cid
                     members.append(v)
-                    queue.append(v)
             for v in in_adj[u]:
                 if comp[v] == -1:
                     comp[v] = cid
                     members.append(v)
-                    queue.append(v)
         members.sort()
         comps.append(members)
     return comps

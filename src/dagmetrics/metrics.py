@@ -43,13 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from dagmetrics import layering
-from dagmetrics.core import (
-    Dag,
-    EmptyGraph,
-    InstrumentationCounters,
-    VertexId,
-    topological_order,
-)
+from dagmetrics.core import Dag, EmptyGraph, InstrumentationCounters, VertexId
 
 # source index -> {reachable index -> shortest directed distance in edges};
 # entries exist only for nonempty paths, so sinks have no row and d(u,u)
@@ -103,7 +97,7 @@ def _longest_paths(g: Dag) -> tuple[list[int], list[VertexId], int, int]:
     far = [0] * g.n
     ve = 0
     ee = 0
-    for v in reversed(topological_order(g)):
+    for v in reversed(g.topo):
         ve += 1
         row = out_adj[v]
         ee += len(row)
@@ -138,7 +132,7 @@ def all_pairs_distances(g: Dag) -> tuple[DistanceMap, InstrumentationCounters]:
     du = 0
     big = g.n + 1  # larger than any possible distance
     no_row: dict[int, int] = {}  # sinks have no row
-    for p in reversed(topological_order(g)):
+    for p in reversed(g.topo):
         ve += 1
         succs = g.out_adj[p]
         if not succs:
@@ -147,8 +141,7 @@ def all_pairs_distances(g: Dag) -> tuple[DistanceMap, InstrumentationCounters]:
         row: dict[int, int] = {}
         get = row.get
         for c in succs:
-            if get(c, big) > 1:
-                row[c] = 1
+            row[c] = 1
             crow = rows.get(c, no_row)
             du += 1 + len(crow)
             for x, dx in crow.items():
@@ -173,6 +166,9 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     if g.m:
         lp, far, ve, ee = _longest_paths(g)
         longest = max(lp)
+        u = lp.index(longest)
+        end = far[u]
+        del lp, far  # neither the probe nor the other engines read them
         if longest >= 2:
             outcome, probe = layering.layer_traversal(g)
             if isinstance(outcome, layering.LayerAssignment):
@@ -180,8 +176,7 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
                     vertex_evaluations=ve + probe.vertex_evaluations,
                     edge_examinations=ee + probe.edge_examinations,
                 )
-                u = lp.index(longest)
-                result = DiameterResult(longest, (u, far[u]), components=outcome.components)
+                result = DiameterResult(longest, (u, end), components=outcome.components)
                 return result, counters
         if _rounds_pay_off(g.n, g.m, longest, _sweep_bound(g)):
             return _diameter_by_rounds(g)
@@ -200,7 +195,7 @@ def _sweep_bound(g: Dag) -> int:
     out_adj = g.out_adj
     below = [0] * g.n  # capped path count from v, >= |desc(v)|
     updates = 0
-    for v in reversed(topological_order(g)):
+    for v in reversed(g.topo):
         paths = 0
         for c in out_adj[v]:
             paths += 1 + below[c]

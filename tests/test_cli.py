@@ -265,6 +265,19 @@ class TestExitCodes:
         assert code == 3
         assert "--p" in err
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (["--layered", "0", "2"], "--layered needs L >= 1 and W >= 1"),
+            (["--n", "-1"], "--n must be >= 0, got -1"),
+        ],
+    )
+    def test_gen_rejects_bad_size(self, capsys, model, message):
+        code, out, err = run_cli(capsys, "gen", *model, "--p", "0.5", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0

@@ -19,9 +19,6 @@ from dagmetrics import (
     gen_layered_dag,
     parse_edge_list,
     read_dag,
-    sinks,
-    sources,
-    topological_order,
     weakly_connected_components,
 )
 from dagmetrics import core
@@ -320,25 +317,14 @@ class TestBuildDag:
 class TestTopologicalOrder:
     def test_every_edge_points_forward(self):
         g = diamond()
-        pos = {v: i for i, v in enumerate(topological_order(g))}
+        pos = {v: i for i, v in enumerate(g.topo)}
         for u in range(g.n):
             for v in g.out_adj[u]:
                 assert pos[u] < pos[v]
 
     def test_chain(self):
         g = dag_from_edges([("a", "b"), ("b", "c")])
-        assert topological_order(g) == [0, 1, 2]
-
-
-class TestSourcesSinks:
-    def test_diamond(self):
-        g = diamond()
-        assert sources(g) == {0}
-        assert sinks(g) == {3}
-
-    def test_isolated_vertex_is_both(self):
-        g = build_dag(DagBuildInput(edges=[], isolated=["v"]))
-        assert sources(g) == {0} == sinks(g)
+        assert g.topo == [0, 1, 2]
 
 
 class TestComponents:

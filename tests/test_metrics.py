@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,10 @@ from dagmetrics import (
     enumerate_path_lengths,
     gen_layered_dag,
     gen_random_dag,
+    layer_traversal,
     oracle_diameter,
     oracle_stretch,
-    sources,
+    read_dag,
     stretch,
     weakly_connected_components,
 )
@@ -88,7 +90,7 @@ class TestStretch:
         for seed in range(30):
             g = random_dag(8, 0.3, seed)
             res, _ = stretch(g)
-            assert max(res.lp[s] for s in sources(g)) == res.stretch
+            assert max(res.lp[s] for s in range(g.n) if not g.in_adj[s]) == res.stretch
 
     def test_matches_oracle(self):
         for seed in range(40):
@@ -296,6 +298,32 @@ class TestDiameterEngines:
             res, _ = diameter(build_dag(DagBuildInput(edges=[], isolated=isolated)))
             assert res.diameter == 0
             assert res.witness is None
+
+
+@pytest.mark.parametrize(
+    "analysis, share", [(stretch, 0.25), (diameter, 0.35), (layer_traversal, 0.35)]
+)
+def test_analysis_peak_memory_within_budget(analysis, share):
+    # An analysis may hold its per-vertex lists beside the Dag, and
+    # release what it is done with before its next pass: the balanced
+    # diameter drops the longest-path lists before the layering probe.
+    # Counted in bytes above the built Dag, as a share of the Dag's bytes.
+    text = "".join(f"{a} {b}\n" for a, b in gen_layered_dag(10001, 2, 1.0, seed=7).edges)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = read_dag(text)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        analysis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert g.n == 20002 and g.m == 40000
+    assert peak - held <= share * (held - base)
 
 
 @settings(max_examples=100, deadline=None)
