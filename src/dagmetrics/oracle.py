@@ -14,18 +14,27 @@ is iterative, so a long path never meets the recursion limit.
 Each costly oracle raises `TooLarge` past one fixed size bound: the path
 enumerations past SMALL_GRAPH_BOUND vertices, as path counts grow
 exponentially, and the per-source BFS past BFS_WORK_BOUND on |V|·(|V|+|E|).
+From SPLIT_WORK on that measure, the per-source BFS may deal its sources
+to forked children, one per extra usable CPU; each child runs the same
+BFS and sends back only its farthest distance and witness.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from collections import Counter, defaultdict
+from contextlib import suppress
+from signal import SIGKILL
+from typing import NoReturn
 
 from dagmetrics.core import Dag, DagBuildInput, DagError, VertexId
 from dagmetrics.layering import LayerAssignment
 
 SMALL_GRAPH_BOUND = 12  # vertices, for the path enumerations
 BFS_WORK_BOUND = 4 * 10**7  # |V|·(|V|+|E|), for the per-source BFS: a few seconds at most
+SPLIT_WORK = 10**6  # |V|·(|V|+|E|) from which the per-source BFS forks: about where a fork pays
 
 
 class TooLarge(DagError):
@@ -97,25 +106,21 @@ def bfs_distances(g: Dag, source: VertexId) -> dict[VertexId, int]:
     return {v: dist[v] for v in order[1:]}
 
 
-def bfs_diameter(
-    g: Dag, keep_rows: bool = False
-) -> tuple[int, tuple[VertexId, VertexId] | None, dict[VertexId, dict[VertexId, int]] | None]:
-    """Diameter, witness and (if keep_rows, else None) distance rows, by one BFS per source.
+def _farthest(
+    g: Dag, sources: range, rows: dict[VertexId, dict[VertexId, int]] | None = None
+) -> tuple[int, tuple[VertexId, VertexId] | None]:
+    """Largest BFS distance from the sources, and the smallest pair at it.
 
     Each BFS fills a distance list, and its visit order ends at the
-    farthest vertex, so no row is built unless keep_rows asks for the
-    rows. The witness is the lexicographically smallest pair at the
-    largest distance: the first source whose BFS reaches it, and the
-    smallest vertex there. A source that reaches nothing has no row.
-    Raises TooLarge when |V|·(|V|+|E|) is over BFS_WORK_BOUND.
+    farthest vertex. The sources run in increasing order, so the first
+    one to reach a new largest distance is the witness's source, and its
+    smallest vertex at that distance the witness's end. A source that
+    reaches nothing adds nothing, and no row is built unless rows is
+    given, to be filled.
     """
-    work = g.n * (g.n + g.m)
-    if work > BFS_WORK_BOUND:
-        raise TooLarge(f"n*(n+m)={work} exceeds oracle bound {BFS_WORK_BOUND}")
-    rows = {} if keep_rows else None
     best = 0
     witness = None
-    for u in range(g.n):
+    for u in sources:
         order, dist = _bfs(g, u)
         if len(order) == 1:
             continue
@@ -125,7 +130,101 @@ def bfs_diameter(
         if far > best:
             best = far
             witness = (u, min(v for v in order if dist[v] == far))
-    return best, witness, rows
+    return best, witness
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork safely:
+    no fork or affinity call on this platform, or another thread alive."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _send_farthest(g: Dag, sources: range, fd: int) -> NoReturn:
+    """In a forked child: write _farthest's answer as decimal integers to fd, then exit.
+
+    Ends in os._exit whatever happens, so the child never returns into
+    its parent's code and runs none of its parent's exit handlers; any
+    failure exits 1 with nothing written.
+    """
+    code = 1
+    try:
+        far, witness = _farthest(g, sources)
+        os.write(fd, " ".join(map(str, (far, *(witness or ())))).encode())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _dealt_farthest(g: Dag, cpus: int) -> tuple[int, tuple[VertexId, VertexId] | None]:
+    """_farthest over every source, dealt round-robin over cpus processes.
+
+    Share k holds the sources k, k + cpus, ...: this process walks share 0
+    and one forked child each other share, so the shares' BFS run at
+    once. The answer is the largest distance over the shares and the
+    smallest of their witnesses at it, which is _farthest's answer over
+    all sources. A child that fails (a nonzero exit, or killed) has its
+    share walked here again, so no answer depends on a child, and every
+    child is reaped before the call returns or raises.
+    """
+    shares = [range(k, g.n, cpus) for k in range(cpus)]
+    children = []  # (pid, read end of its pipe, share), until reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pipe = open(r, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_farthest(g, share, w)
+            except BaseException:
+                pipe.close()
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, pipe, share))
+        results = [_farthest(g, shares[0])]
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                text = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status == 0:
+                far, *pair = map(int, text.split())
+                results.append((far, tuple(pair) or None))
+            else:
+                results.append(_farthest(g, share))
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    best = max(far for far, _ in results)
+    return best, min(witness for far, witness in results if far == best) if best else None
+
+
+def bfs_diameter(
+    g: Dag, keep_rows: bool = False
+) -> tuple[int, tuple[VertexId, VertexId] | None, dict[VertexId, dict[VertexId, int]] | None]:
+    """Diameter, witness and (if keep_rows, else None) distance rows, by one BFS per source.
+
+    The witness is the lexicographically smallest pair at the largest
+    distance, and a source that reaches nothing has no row. From
+    SPLIT_WORK on |V|·(|V|+|E|), and without keep_rows, the sources are
+    dealt over the usable CPUs by forked children (_dealt_farthest), with
+    the same answer; the rows stay in this process.
+    Raises TooLarge when |V|·(|V|+|E|) is over BFS_WORK_BOUND.
+    """
+    work = g.n * (g.n + g.m)
+    if work > BFS_WORK_BOUND:
+        raise TooLarge(f"n*(n+m)={work} exceeds oracle bound {BFS_WORK_BOUND}")
+    if keep_rows:
+        rows: dict[VertexId, dict[VertexId, int]] = {}
+        return (*_farthest(g, range(g.n), rows), rows)
+    return (*_dealt_farthest(g, _usable_cpus() if work >= SPLIT_WORK else 1), None)
 
 
 def oracle_diameter(g: Dag) -> int:

@@ -463,7 +463,9 @@ class TestVerify:
         # a chain with a skip edge takes the sweep, this random DAG the
         # rounds, and a balanced chain neither; under --all-pairs the
         # sweep is the one engine on all three, and --verify adds one
-        # oracle BFS per vertex
+        # oracle BFS per vertex. The oracle's BFS are counted in this
+        # process, which stays exact because every graph here is under
+        # oracle.SPLIT_WORK, so no source is dealt to a forked child.
         chain = tmp_path / "chain.txt"
         chain.write_text("".join(f"{i} {i + 1}\n" for i in range(99)))
         skip = tmp_path / "skip.txt"

@@ -2,7 +2,11 @@
 against tiny hand-enumerable graphs and against each other."""
 
 import dataclasses
+import os
+import threading
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +52,52 @@ class CountingRows(list):
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+
+def assert_matches_rows_from_bfs_distances(model, size, p, seed):
+    """bfs_diameter equals the diameter and smallest witness read off
+    per-source bfs_distances rows, with and without keep_rows."""
+    if model == "random":
+        inp = gen_random_dag(size, p, seed)
+    else:
+        width = 1 + seed % 3
+        inp = gen_layered_dag(max(1, size // width), width, p, seed)
+    # one more vertex with no edges, so every graph has an isolated one
+    g = build_dag(DagBuildInput(edges=inp.edges, isolated=[*inp.isolated, "lone"]))
+    rows = {u: row for u in range(g.n) if (row := bfs_distances(g, u))}
+    best = max((d for row in rows.values() for d in row.values()), default=0)
+    witness = min(((u, v) for u, row in rows.items() for v, d in row.items() if d == best), default=None)
+    assert bfs_diameter(g, keep_rows=True) == (best, witness, rows)
+    assert bfs_diameter(g) == (best, witness, None)
+    assert not all(g.out_adj) and all(g.out_adj[u] for u in rows)  # no sink has a row
+
+
+def reversed_chain(n):
+    """chain(n) with its edges listed last first, so that for n >= 3 its
+    first vertex is interned last: the one longest path starts at n - 1."""
+    return dag_from_edges((str(i), str(i + 1)) for i in reversed(range(n - 1)))
+
+
+@contextmanager
+def forced_split(cpus):
+    """bfs_diameter deals its sources over cpus processes on every graph,
+    whatever its size and whatever CPUs this machine has."""
+    with mock.patch.object(oracle, "SPLIT_WORK", 0), mock.patch.object(oracle, "_usable_cpus", lambda: cpus):
+        yield
+
+
+@contextmanager
+def counted_forks():
+    """Count the calls to os.fork while the context is open."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    with mock.patch.object(os, "fork", fork):
+        yield forks
 
 
 def reference_path_lengths(g, u, v):
@@ -201,21 +251,21 @@ class TestBfsDiameter:
         seed=st.integers(min_value=0, max_value=10**6),
     )
     def test_matches_rows_from_bfs_distances(self, model, size, p, seed):
-        if model == "random":
-            inp = gen_random_dag(size, p, seed)
-        else:
-            width = 1 + seed % 3
-            inp = gen_layered_dag(max(1, size // width), width, p, seed)
-        # one more vertex with no edges, so every graph has an isolated one
-        g = build_dag(DagBuildInput(edges=inp.edges, isolated=[*inp.isolated, "lone"]))
-        rows = {u: row for u in range(g.n) if (row := bfs_distances(g, u))}
-        best = max((d for row in rows.values() for d in row.values()), default=0)
-        witness = min(
-            ((u, v) for u, row in rows.items() for v, d in row.items() if d == best), default=None
-        )
-        assert bfs_diameter(g, keep_rows=True) == (best, witness, rows)
-        assert bfs_diameter(g) == (best, witness, None)
-        assert not all(g.out_adj) and all(g.out_adj[u] for u in rows)  # no sink has a row
+        assert_matches_rows_from_bfs_distances(model, size, p, seed)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from(["random", "layered"]),
+        size=st.integers(min_value=1, max_value=30),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_split_matches_rows_from_bfs_distances(self, cpus, model, size, p, seed):
+        # the same graphs with the sources dealt over cpus processes: the
+        # merge of the shares' answers must be the one-process answer
+        with forced_split(cpus):
+            assert_matches_rows_from_bfs_distances(model, size, p, seed)
 
     def test_bound_enforced(self, monkeypatch):
         # the diamond's n*(n+m) is 4*8 = 32
@@ -226,6 +276,91 @@ class TestBfsDiameter:
             assert str(exc.value) == "n*(n+m)=32 exceeds oracle bound 31"
         monkeypatch.setattr(oracle, "BFS_WORK_BOUND", 32)
         assert oracle_diameter(diamond()) == 2
+
+
+class TestSplitBfsDiameter:
+    def test_no_child_outlives_the_call(self):
+        g = build_dag(gen_random_dag(40, 0.2, 1))
+        with forced_split(3), counted_forks() as forks:
+            assert bfs_diameter(g) == bfs_diameter(g, keep_rows=True)[:2] + (None,)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_child_share_walked_again(self):
+        parent = os.getpid()
+        real = oracle._farthest
+
+        def fails_in_child(g, sources, rows=None):
+            if os.getpid() != parent:
+                raise RuntimeError("child failed")
+            return real(g, sources, rows)
+
+        # the longest paths start at 3, 4 and 5: in this process's share and in each child's
+        for g in [*map(reversed_chain, (4, 5, 6)), build_dag(gen_random_dag(40, 0.2, 1))]:
+            expected = bfs_diameter(g)
+            with forced_split(3), mock.patch.object(oracle, "_farthest", fails_in_child):
+                assert bfs_diameter(g) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_reaped_when_this_process_fails(self):
+        parent = os.getpid()
+        real = oracle._farthest
+
+        def fails_here(g, sources, rows=None):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(g, sources, rows)
+
+        with forced_split(3), mock.patch.object(oracle, "_farthest", fails_here):
+            with pytest.raises(KeyboardInterrupt):
+                bfs_diameter(chain(300))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_every_share_is_walked(self, cpus):
+        # each n puts the source of the one longest path, n - 1, in another share
+        for n in range(3, 3 + cpus):
+            g = reversed_chain(n)
+            assert g.index_of["0"] == n - 1
+            with forced_split(cpus):
+                assert bfs_diameter(g) == (n - 1, (n - 1, g.index_of[str(n - 1)]), None)
+
+    def test_rows_and_small_graphs_stay_in_one_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        # n*(n+m) is at most 12*(12+66) = 936 with 12 vertices, far under SPLIT_WORK
+        complete = build_dag(gen_random_dag(12, 1.0, 0))
+        for g in [*corpus_small(), *analytic_graphs(), complete]:
+            assert g.n <= 12
+            bfs_diameter(g)
+        # --all-pairs --verify keeps its rows, which stay in this process
+        long_chain = chain(1000)
+        assert long_chain.n * (long_chain.n + long_chain.m) >= oracle.SPLIT_WORK
+        assert bfs_diameter(long_chain, keep_rows=True)[:2] == (999, (0, 999))
+
+    def test_splits_from_split_work_on(self, monkeypatch):
+        # the 1000-vertex chain, n*(n+m) = 1 999 000, is over the threshold
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        with counted_forks() as forks:
+            assert bfs_diameter(chain(1000)) == (999, (0, 999), None)
+        assert len(forks) == 1
+
+    def test_one_process_while_another_thread_runs(self):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert oracle._usable_cpus() == 1
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestOracleLayers:
