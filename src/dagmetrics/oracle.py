@@ -26,6 +26,7 @@ import random
 import threading
 from collections import Counter, defaultdict
 from contextlib import suppress
+from itertools import chain, islice
 from signal import SIGKILL
 from typing import NoReturn
 
@@ -301,6 +302,9 @@ def oracle_all_paths_equal(g: Dag, bound: int = SMALL_GRAPH_BOUND) -> bool:
 def gen_random_dag(n: int, p: float, seed: int) -> DagBuildInput:
     """Random DAG: seeded permutation as topological order, each forward
     pair kept with probability p. Reproducible for a given (n, p, seed).
+
+    One coin is drawn per forward pair, n·(n-1)/2 of them whatever p is,
+    so the time grows with n² even when few edges are kept.
     """
     rng = random.Random(seed)
     perm = list(range(n))
@@ -308,12 +312,13 @@ def gen_random_dag(n: int, p: float, seed: int) -> DagBuildInput:
     names = [str(v) for v in range(n)]
     edges: list[tuple[str, str]] = []
     touched = [False] * n
-    for i in range(n):
-        u = perm[i]
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                v = perm[j]
-                edges.append((names[u], names[v]))
+    draw = rng.random
+    append = edges.append
+    for i, u in enumerate(perm):
+        src = names[u]
+        for v in perm[i + 1:]:
+            if draw() < p:
+                append((src, names[v]))
                 touched[u] = True
                 touched[v] = True
     isolated = [names[v] for v in range(n) if not touched[v]]
@@ -324,35 +329,53 @@ def gen_layered_dag(layers: int, width: int, p: float, seed: int) -> DagBuildInp
     """Layered DAG on a layers x width grid, edges only between adjacent
     layers, so the grading is exactly the layer index.
 
-    Each adjacent-layer pair is sampled with probability p; afterwards
-    every vertex is forced to keep at least one edge toward each
-    neighboring layer, so no vertex ends up skipping a layer.
+    Vertex k·width + i is vertex i of layer k. Each adjacent-layer pair
+    (a, b) is sampled with probability p, in order of a, then b;
+    afterwards every vertex is forced to keep at least one edge toward
+    each neighboring layer, so no vertex ends up skipping a layer and
+    only a one-layer grid has isolated vertices. At p >= 1 no coin can
+    land tails, so the complete grid is built with no draw and is the
+    same for every seed. layers <= 0 or width <= 0 gives the empty graph,
+    except that a negative width with layers <= 0 raises ValueError.
     """
-    rng = random.Random(seed)
+    if width < 0 and layers <= 0:
+        raise ValueError(f"negative width {width} needs layers >= 1, got {layers}")
     n = layers * width
-    names = [str(v) for v in range(n)]
+    if n <= 0:
+        return DagBuildInput(edges=[], isolated=[])
+    names = list(map(str, range(n)))
+    if layers == 1:
+        return DagBuildInput(edges=[], isolated=names)
+    if p >= 1:
+        # pairs[i·width + j] yields the edge from vertex i of each layer to
+        # vertex j of the next; zip takes one from each in turn, so each
+        # layer's edges come in order of a, then b
+        pairs = [
+            zip(islice(names, i, n - width, width), islice(names, width + j, None, width))
+            for i in range(width)
+            for j in range(width)
+        ]
+        return DagBuildInput(edges=list(chain.from_iterable(zip(*pairs))), isolated=[])
+    rng = random.Random(seed)
+    draw = rng.random
     edges: list[tuple[str, str]] = []
+    append = edges.append
     has_in = [False] * n
     has_out = [False] * n
-
-    def connect(u: int, v: int) -> None:
-        edges.append((names[u], names[v]))
-        has_out[u] = True
-        has_in[v] = True
-
-    for k in range(layers - 1):
-        base = k * width
-        for a in range(base, base + width):
-            for b in range(base + width, base + 2 * width):
-                if rng.random() < p:
-                    connect(a, b)
+    heads = [range(b, b + width) for b in range(width, n, width)]  # heads[k]: layer k + 1
+    for a in range(n - width):
+        src = names[a]
+        for b in heads[a // width]:
+            if draw() < p:
+                append((src, names[b]))
+                has_out[a] = True
+                has_in[b] = True
     for v in range(width, n):
         if not has_in[v]:
-            base = (v // width - 1) * width
-            connect(base + rng.randrange(width), v)
+            u = (v // width - 1) * width + rng.randrange(width)
+            append((names[u], names[v]))
+            has_out[u] = True
     for v in range(n - width):
         if not has_out[v]:
-            base = (v // width + 1) * width
-            connect(v, base + rng.randrange(width))
-    isolated = [names[v] for v in range(n) if not has_in[v] and not has_out[v]]
-    return DagBuildInput(edges=edges, isolated=isolated)
+            append((names[v], names[(v // width + 1) * width + rng.randrange(width)]))
+    return DagBuildInput(edges=edges, isolated=[])

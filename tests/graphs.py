@@ -1,5 +1,6 @@
 """Shared graph builders for the test suite."""
 
+import random
 from functools import cache
 
 from dagmetrics import Dag, DagBuildInput, build_dag, gen_random_dag
@@ -67,3 +68,58 @@ def corpus_large():
 
 def analytic_graphs():
     return [diamond(), skewed(), gap()]
+
+
+def reference_gen_random_dag(n: int, p: float, seed: int) -> DagBuildInput:
+    """Plain-loop reference for gen_random_dag, which must return the
+    same edges and isolated vertices, in the same order, for every argument."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    names = [str(v) for v in range(n)]
+    edges: list[tuple[str, str]] = []
+    touched = [False] * n
+    for i in range(n):
+        u = perm[i]
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                v = perm[j]
+                edges.append((names[u], names[v]))
+                touched[u] = True
+                touched[v] = True
+    isolated = [names[v] for v in range(n) if not touched[v]]
+    return DagBuildInput(edges=edges, isolated=isolated)
+
+
+def reference_gen_layered_dag(layers: int, width: int, p: float, seed: int) -> DagBuildInput:
+    """Nested-loop reference for gen_layered_dag, drawing one coin per
+    adjacent-layer pair even at p >= 1; gen_layered_dag must equal it for
+    every argument."""
+    rng = random.Random(seed)
+    n = layers * width
+    names = [str(v) for v in range(n)]
+    edges: list[tuple[str, str]] = []
+    has_in = [False] * n
+    has_out = [False] * n
+
+    def connect(u: int, v: int) -> None:
+        edges.append((names[u], names[v]))
+        has_out[u] = True
+        has_in[v] = True
+
+    for k in range(layers - 1):
+        base = k * width
+        for a in range(base, base + width):
+            for b in range(base + width, base + 2 * width):
+                if rng.random() < p:
+                    connect(a, b)
+    for v in range(width, n):
+        if not has_in[v]:
+            base = (v // width - 1) * width
+            connect(base + rng.randrange(width), v)
+    for v in range(n - width):
+        if not has_out[v]:
+            base = (v // width + 1) * width
+            connect(v, base + rng.randrange(width))
+    isolated = [names[v] for v in range(n) if not has_in[v] and not has_out[v]]
+    return DagBuildInput(edges=edges, isolated=isolated)

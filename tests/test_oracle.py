@@ -3,6 +3,7 @@ against tiny hand-enumerable graphs and against each other."""
 
 import dataclasses
 import os
+import random
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -38,6 +39,8 @@ from graphs import (
     dag_from_edges,
     diamond,
     gap,
+    reference_gen_layered_dag,
+    reference_gen_random_dag,
     skewed,
 )
 
@@ -464,3 +467,57 @@ class TestGenerators:
         inp = gen_layered_dag(1, 4, 1.0, seed=0)
         assert inp.edges == []
         assert len(inp.isolated) == 4
+
+    # p in {0, 1, above 1} or anywhere in [0, 1]; edges and isolated compared in order
+    COIN = st.one_of(st.sampled_from([0.0, 1.0, 1.5]), st.floats(min_value=0.0, max_value=1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        layers=st.integers(min_value=0, max_value=30),
+        width=st.integers(min_value=0, max_value=8),
+        p=COIN,
+        seed=st.integers(),
+    )
+    def test_layered_matches_reference(self, layers, width, p, seed):
+        assert gen_layered_dag(layers, width, p, seed) == reference_gen_layered_dag(layers, width, p, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=40), p=COIN, seed=st.integers())
+    def test_random_dag_matches_reference(self, n, p, seed):
+        assert gen_random_dag(n, p, seed) == reference_gen_random_dag(n, p, seed)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(50001, 2, 1.0, 7), (100000, 1, 1.0, 8), (1000, 1, 1.0, 8), (2000, 10, 0.3, 3)],
+        ids=["deep-grid", "deep-chain", "deep-chain1k", "width-10-p-0.3"],
+    )
+    def test_layered_matches_reference_at_scale(self, args):
+        assert gen_layered_dag(*args) == reference_gen_layered_dag(*args)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_layered_p_one_draws_no_coin(self, p):
+        # every pair is kept, so the grid is built without a random draw
+        layers, width = 40, 3
+        grid = [
+            (str(a), str(b))
+            for k in range(layers - 1)
+            for a in range(k * width, (k + 1) * width)
+            for b in range((k + 1) * width, (k + 2) * width)
+        ]
+        with mock.patch.object(random.Random, "random", side_effect=AssertionError("coin drawn")), \
+                mock.patch.object(random.Random, "randrange", side_effect=AssertionError("vertex drawn")):
+            for seed in range(3):
+                assert gen_layered_dag(layers, width, p, seed) == DagBuildInput(edges=grid, isolated=[])
+
+    @pytest.mark.parametrize(
+        "layers, width",
+        [(0, 0), (0, 3), (3, 0), (-2, 0), (-1, 3), (-4, 2), (3, -1), (2, -5)],
+    )
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_layered_empty_sizes_give_empty_graph(self, layers, width, p):
+        assert gen_layered_dag(layers, width, p, seed=1) == DagBuildInput(edges=[], isolated=[])
+
+    @pytest.mark.parametrize("layers, width", [(-1, -1), (-3, -2), (0, -1), (0, -4)])
+    def test_layered_negative_width_without_layers_raises(self, layers, width):
+        with pytest.raises(ValueError):
+            gen_layered_dag(layers, width, 0.5, seed=1)
