@@ -124,14 +124,6 @@ def _plural(n: int, singular: str, plural: str | None = None) -> str:
     return f"{n} {plural or singular + 's'}"
 
 
-def _components(g: Dag, known: int | None) -> int:
-    """Weak component count: `known` when the command's balanced layering
-    carries it; a conflict or no layering leaves it to a pass of its own."""
-    if known is not None:
-        return known
-    return len(core.weakly_connected_components(g))
-
-
 def _print_report(args, g: Dag, result: dict, render,
                   counters: InstrumentationCounters, verified: bool | None, *,
                   note: str | None = None, components: int | None = None,
@@ -145,10 +137,12 @@ def _print_report(args, g: Dag, result: dict, render,
     is the weak component count when the command's own layering found
     it; otherwise the summary counts them in a pass of its own.
     """
+    if components is None and (args.json or not bare):
+        components = len(core.weakly_connected_components(g))
     if args.json:
         report = {
             "command": args.command,
-            "input": {"vertices": g.n, "edges": g.m, "components": _components(g, components)},
+            "input": {"vertices": g.n, "edges": g.m, "components": components},
             "result": result,
             "counters": dataclasses.asdict(counters),
             "verified": verified,
@@ -159,7 +153,7 @@ def _print_report(args, g: Dag, result: dict, render,
     if not bare:
         lines.insert(0, f"graph: {_plural(g.n, 'vertex', 'vertices')}, "
                         f"{_plural(g.m, 'edge')}, "
-                        f"{_plural(_components(g, components), 'component')}")
+                        f"{_plural(components, 'component')}")
     if args.verify:
         verdict = f"verified: {note if verified is None else str(verified).lower()}"
         if bare:
@@ -236,8 +230,7 @@ def _cmd_diameter(args) -> int:
             else None
         ),
     }
-    _print_report(args, g, result, _diameter_text, counters, verified,
-                  note=note, components=res.components)
+    _print_report(args, g, result, _diameter_text, counters, verified, note=note)
     return 0
 
 

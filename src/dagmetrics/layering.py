@@ -34,8 +34,8 @@ class LayerAssignment:
 
     @property
     def components(self) -> int:
-        """Number of weak components."""
-        return max(self.component_of) + 1
+        """Number of weak components; 0 for a graph with no vertices."""
+        return max(self.component_of, default=-1) + 1
 
 
 @dataclass

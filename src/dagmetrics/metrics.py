@@ -9,20 +9,20 @@ actually performed; counters are fresh per call.
   edge (p, c) counts 1 + |row of c| distance updates, so there are at
   most |E|*|V|.
 * ``diameter`` is the one engine dispatcher. On a graph with edges it
-  first makes ``stretch``'s reverse-topological pass (``_longest_paths``),
-  which also gives the smallest end of a longest path from each vertex.
-  It then runs one of three engines and reports that engine's counters:
+  first makes ``stretch``'s reverse-topological pass (``_longest_paths``).
+  Then it runs one of three engines and reports that engine's counters:
 
-  - the balanced engine, taken when stretch >= 2 and the layering
-    kernel (``layering.layer_traversal``) finds the graph balanced.
-    There every path u -> v has length layer(v) - layer(u), so shortest
-    equals longest for every pair and the diameter is the stretch. The
-    pairs at that distance are (u, an end of a longest path from u)
-    with lp(u) = stretch, so the witness comes from the pass, with no
-    traversal and no rows. Its counters are the pass plus the kernel:
-    2|V| vertex evaluations, 3|E| edge examinations and no distance
-    updates, which is within (stretch+1)*|V| and (stretch+1)*|E|
-    exactly when stretch >= 2;
+  - one BFS from u0, the smallest vertex with lp(u0) = stretch S. No
+    shortest path is longer than a longest one, so diameter <= S, and a
+    pair at distance S must start at a vertex with lp = S, of which u0
+    is the smallest. So if the BFS reaches distance S, the diameter is
+    S and the witness is u0 with the smallest vertex at that distance.
+    That holds in every balanced graph, where every path u -> v has
+    length layer(v) - layer(u), and in every graph of stretch 1. Its
+    counters are the pass plus the BFS: |V| + (vertices visited)
+    vertex evaluations, |E| + (edges scanned) edge examinations and
+    (vertices visited - 1) distance updates, within (stretch+1)*|V| and
+    (stretch+1)*|E| for every stretch >= 1;
   - otherwise the all-pairs sweep above, with its counters unchanged,
     or bit-parallel reach rounds, chosen from |V|, |E|, stretch and a
     bound on the sweep's work (see ``_rounds_pay_off``). The bound takes
@@ -33,16 +33,15 @@ actually performed; counters are fresh per call.
     ordered pairs, each of whose distance is set once, by the round
     that first reaches it. That is at most |E|*|V|.
 
-  Neither the two passes nor a balance probe that finds a conflict
-  counts toward the sweep or the rounds: their counters are the
-  engine's own.
+  Neither the two passes nor a BFS that falls short of S counts toward
+  the sweep or the rounds: their counters are the engine's own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
-from dagmetrics import layering
 from dagmetrics.core import Dag, EmptyGraph, InstrumentationCounters, VertexId
 
 # source index -> {reachable index -> shortest directed distance in edges};
@@ -64,9 +63,6 @@ class StretchResult:
 class DiameterResult:
     diameter: int
     witness: tuple[VertexId, VertexId] | None  # lexicographically smallest
-    # weak component count, when the engine's layering found it; not
-    # part of the answer, so equal results compare equal without it
-    components: int | None = field(default=None, compare=False)
 
 
 def stretch(g: Dag) -> tuple[StretchResult, InstrumentationCounters]:
@@ -78,23 +74,21 @@ def stretch(g: Dag) -> tuple[StretchResult, InstrumentationCounters]:
     """
     if g.n == 0:
         raise EmptyGraph()
-    lp, _, ve, ee = _longest_paths(g)
+    lp, ve, ee = _longest_paths(g)
     top = max(lp)
     result = StretchResult(lp=lp, stretch=top, witness_source=lp.index(top))
     return result, InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
 
 
-def _longest_paths(g: Dag) -> tuple[list[int], list[VertexId], int, int]:
-    """lp, far and the vertices and edges evaluated, in one reverse-topological pass.
+def _longest_paths(g: Dag) -> tuple[list[int], int, int]:
+    """lp and the vertices and edges evaluated, in one reverse-topological pass.
 
-    far[v] is the smallest end of a longest path from v: v at a sink, else
-    the smallest far[c] over the successors c with lp[c] = lp[v] - 1. Any
-    topological order gives the same lp and far. Iterative on purpose:
+    lp[v] is 0 at a sink, else 1 + the largest lp over v's successors.
+    Any topological order gives the same lp. Iterative on purpose:
     recursion would overflow on long chains.
     """
     out_adj = g.out_adj
     lp = [0] * g.n
-    far = [0] * g.n
     ve = 0
     ee = 0
     for v in reversed(g.topo):
@@ -102,17 +96,11 @@ def _longest_paths(g: Dag) -> tuple[list[int], list[VertexId], int, int]:
         row = out_adj[v]
         ee += len(row)
         best = -1
-        end = v
         for c in row:
-            lc = lp[c]
-            if lc > best:
-                best = lc
-                end = far[c]
-            elif lc == best and far[c] < end:
-                end = far[c]
+            if lp[c] > best:
+                best = lp[c]
         lp[v] = best + 1
-        far[v] = end
-    return lp, far, ve, ee
+    return lp, ve, ee
 
 
 def all_pairs_distances(g: Dag) -> tuple[DistanceMap, InstrumentationCounters]:
@@ -164,24 +152,46 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     counters (see the module docstring).
     """
     if g.m:
-        lp, far, ve, ee = _longest_paths(g)
+        lp, ve, ee = _longest_paths(g)
         longest = max(lp)
         u = lp.index(longest)
-        end = far[u]
-        del lp, far  # neither the probe nor the other engines read them
-        if longest >= 2:
-            outcome, probe = layering.layer_traversal(g)
-            if isinstance(outcome, layering.LayerAssignment):
-                counters = InstrumentationCounters(
-                    vertex_evaluations=ve + probe.vertex_evaluations,
-                    edge_examinations=ee + probe.edge_examinations,
-                )
-                result = DiameterResult(longest, (u, end), components=outcome.components)
-                return result, counters
+        del lp  # the BFS and the other engines do not read it
+        end, visited, scanned = _far_end(g, u, longest)
+        if end is not None:
+            return DiameterResult(longest, (u, end)), InstrumentationCounters(
+                vertex_evaluations=ve + visited,
+                edge_examinations=ee + scanned,
+                distance_updates=visited - 1,
+            )
         if _rounds_pay_off(g.n, g.m, longest, _sweep_bound(g)):
             return _diameter_by_rounds(g)
     rows, counters = all_pairs_distances(g)
     return _diameter_from_rows(rows), counters
+
+
+def _far_end(g: Dag, u: VertexId, dist: int) -> tuple[VertexId | None, int, int]:
+    """The smallest vertex at distance dist from u (None if there is
+    none), and the vertices visited and edges scanned, by a BFS of dist
+    levels.
+
+    A vertex is marked when first reached, so each is visited once. The
+    edges scanned are the out-edges of the visited vertices: when dist
+    is u's longest-path length and a vertex lies at distance dist, it is
+    a sink, so the last level, which the BFS does not expand, has none.
+    """
+    out_adj = g.out_adj
+    seen = bytearray(g.n)
+    seen[u] = 1
+    level = [u]
+    for _ in range(dist):
+        nxt = []
+        for v in level:
+            for c in out_adj[v]:
+                if not seen[c]:
+                    seen[c] = 1
+                    nxt.append(c)
+        level = nxt
+    return min(level, default=None), seen.count(1), sum(map(len, compress(out_adj, seen)))
 
 
 def _sweep_bound(g: Dag) -> int:

@@ -593,16 +593,11 @@ class TestComponentCount:
             assert code == 0
             assert json.loads(out)["input"]["components"] == 2
 
-    def test_balanced_diameter_runs_no_components_pass(self, capsys, monkeypatch, tmp_path):
-        # stretch >= 2 and balanced: diameter's engine runs the layering,
-        # which carries the count
+    def test_balanced_diameter_component_count_and_witness(self, capsys, tmp_path):
+        # diameter's engines find no components, so the summary counts
+        # them in a pass of its own
         path = tmp_path / "chain_and_lone.txt"
         path.write_text("0 1\n1 2\n2 3\nlone\n")
-
-        def forbidden(g):
-            raise AssertionError("components counted twice")
-
-        monkeypatch.setattr(core, "weakly_connected_components", forbidden)
         code, out, _ = run_cli(capsys, "diameter", str(path), "--json")
         assert code == 0
         report = json.loads(out)

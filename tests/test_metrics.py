@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from dagmetrics import (
     DagBuildInput,
     EmptyGraph,
+    InstrumentationCounters,
     all_pairs_distances,
     bfs_distances,
     build_dag,
     diameter,
-    enumerate_path_lengths,
     gen_layered_dag,
     gen_random_dag,
     layer_traversal,
@@ -21,7 +22,6 @@ from dagmetrics import (
     oracle_stretch,
     read_dag,
     stretch,
-    weakly_connected_components,
 )
 from dagmetrics.metrics import (
     _diameter_by_rounds,
@@ -43,6 +43,17 @@ from graphs import (
 
 def random_dag(n, p, seed):
     return build_dag(gen_random_dag(n, p, seed))
+
+
+def bfs_engine_counters(g, u):
+    """The counters of the BFS engine from u: the longest-path pass plus
+    one BFS, its reach read off the oracle's distances from u."""
+    reached = [u, *bfs_distances(g, u)]
+    return InstrumentationCounters(
+        vertex_evaluations=g.n + len(reached),
+        edge_examinations=g.m + sum(len(g.out_adj[v]) for v in reached),
+        distance_updates=len(reached) - 1,
+    )
 
 
 class TestStretch:
@@ -206,24 +217,16 @@ class TestDiameterEngines:
 
     def test_engine_inputs(self):
         # chain(n): stretch n-1, and the sweep's updates are exactly the
-        # n(n-1)/2 reachable pairs, so the bound is tight there; the
-        # one longest path runs from the first vertex to the last
+        # n(n-1)/2 reachable pairs, so the bound is tight there
         g = chain(1000)
-        lp, far, _, _ = _longest_paths(g)
-        assert (max(lp), far[0], _sweep_bound(g)) == (999, 999, 999 * 1000 // 2)
+        lp, _, _ = _longest_paths(g)
+        assert (max(lp), _sweep_bound(g)) == (999, 999 * 1000 // 2)
         assert all_pairs_distances(g)[1].distance_updates == 999 * 1000 // 2
         for g in list(corpus_small()) + analytic_graphs():
-            lp, far, _, _ = _longest_paths(g)
-            sres, _ = stretch(g)
-            assert lp == sres.lp
+            lp, _, _ = _longest_paths(g)
+            assert lp == stretch(g)[0].lp
             bound = _sweep_bound(g)
             assert all_pairs_distances(g)[1].distance_updates <= bound <= g.m * g.n
-            if sres.stretch:
-                # u starts a longest path, and far[u] is the smallest
-                # vertex that one of them reaches
-                u = sres.witness_source
-                ends = [v for v in range(g.n) if sres.stretch in enumerate_path_lengths(g, u, v)]
-                assert far[u] == min(ends)
 
     def test_chain_takes_all_pairs(self):
         # the skip edge 0 -> 2 unbalances the chain, so the balanced
@@ -241,17 +244,20 @@ class TestDiameterEngines:
         assert res == _diameter_from_rows(all_pairs_distances(g)[0])
         assert counters.edge_examinations == (res.diameter + 1) * g.m
 
-    def test_large_sparse_takes_all_pairs(self):
+    def test_large_sparse_stretch_one_takes_bfs(self):
         # stretch 1 and |E| reachable pairs: the rounds would hold |V|^2
-        # bits for what the sweep does in |E| updates
+        # bits for what the sweep does in |E| updates, and the one BFS
+        # from the first edge's tail does it in one
         g = dag_from_edges((f"a{i}", f"b{i}") for i in range(20000))
-        lp, far, _, _ = _longest_paths(g)
-        assert (max(lp), _sweep_bound(g), far[0]) == (1, 20000, 1)
+        lp, _, _ = _longest_paths(g)
+        assert (max(lp), _sweep_bound(g)) == (1, 20000)
         assert not _rounds_pay_off(g.n, g.m, 1, _sweep_bound(g))
         res, counters = diameter(g)
         assert res.diameter == 1 and res.witness == (0, 1)
-        assert counters == all_pairs_distances(g)[1]
-        # the same holds for graphs far too big to build here
+        assert counters == InstrumentationCounters(
+            vertex_evaluations=g.n + 2, edge_examinations=g.m + 1, distance_updates=1
+        )
+        # the sweep would be taken on graphs far too big to build here
         assert not _rounds_pay_off(10**6, 5 * 10**5, 1, 5 * 10**5)
         assert not _rounds_pay_off(10**5, 10**5, 10, 10**6)
 
@@ -261,17 +267,25 @@ class TestDiameterEngines:
         res, counters = diameter(g)
         assert res.diameter == 500_000
         assert [g.labels[v] for v in res.witness] == ["0", "1000000"]
-        assert counters.distance_updates == 0
+        # the BFS from vertex 0 reaches it and both vertices of every
+        # later layer, and scans the two out-edges of each but the last
+        reached = 1 + 2 * 500_000
+        assert counters == InstrumentationCounters(
+            vertex_evaluations=g.n + reached,
+            edge_examinations=g.m + 2 * (reached - 2),
+            distance_updates=reached - 1,
+        )
 
     def test_sweep_bound_only_where_engine_chosen(self, monkeypatch):
-        # the balanced engine needs no bound on the sweep, so its pass runs
+        # the BFS engine needs no bound on the sweep, so its pass runs
         # only where the rounds and the sweep are weighed, once
         def no_bound(g):
             raise AssertionError("sweep bound computed")
 
         monkeypatch.setattr("dagmetrics.metrics._sweep_bound", no_bound)
         for g in (build_dag(gen_layered_dag(40, 3, 1.0, seed=7)), chain(1000)):
-            assert diameter(g)[1].distance_updates == 0
+            res, counters = diameter(g)
+            assert counters == bfs_engine_counters(g, res.witness[0])
         calls = []
 
         def counted(g):
@@ -284,6 +298,22 @@ class TestDiameterEngines:
             calls.clear()
             diameter(g)
             assert calls == [g]
+
+    def test_disjoint_edges_take_neither_sweep_nor_rounds(self, monkeypatch):
+        # stretch 1: the first edge is a pair at distance 1, and no pair
+        # is farther apart, so neither engine that holds rows runs
+        def no_engine(g):
+            raise AssertionError("sweep or rounds run")
+
+        monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", no_engine)
+        monkeypatch.setattr("dagmetrics.metrics._diameter_by_rounds", no_engine)
+        g = dag_from_edges((f"a{i}", f"b{i}") for i in range(10**5))
+        res, counters = diameter(g)
+        assert res.diameter == 1
+        assert [g.labels[v] for v in res.witness] == ["a0", "b0"]
+        assert counters == InstrumentationCounters(
+            vertex_evaluations=g.n + 2, edge_examinations=g.m + 1, distance_updates=1
+        )
 
     def test_empty_graph_skips_stretch(self, monkeypatch):
         # stretch raises EmptyGraph on n = 0, so the engine choice must
@@ -305,8 +335,8 @@ class TestDiameterEngines:
 )
 def test_analysis_peak_memory_within_budget(analysis, share):
     # An analysis may hold its per-vertex lists beside the Dag, and
-    # release what it is done with before its next pass: the balanced
-    # diameter drops the longest-path lists before the layering probe.
+    # release what it is done with before its next pass: diameter drops
+    # the longest-path list before its BFS.
     # Counted in bytes above the built Dag, as a share of the Dag's bytes.
     text = "".join(f"{a} {b}\n" for a, b in gen_layered_dag(10001, 2, 1.0, seed=7).edges)
     was_tracing = tracemalloc.is_tracing()
@@ -351,13 +381,58 @@ def test_balanced_engine_matches_sweep(layers, width, p, seed):
     g = build_dag(gen_layered_dag(layers, width, p, seed))
     res, counters = diameter(g)
     assert res == _diameter_from_rows(all_pairs_distances(g)[0])
-    if res.diameter >= 2:
-        # layered graphs are balanced, so stretch = diameter and the
-        # balanced engine ran: the pass plus the layering kernel
-        assert counters.distance_updates == 0
-        assert counters.vertex_evaluations == 2 * g.n
-        assert counters.edge_examinations == 3 * g.m
-        assert res.components == len(weakly_connected_components(g))
+    if g.m:
+        # layered graphs are balanced, so stretch = diameter and the BFS
+        # from the stretch witness ran: the pass plus that BFS
+        assert counters == bfs_engine_counters(g, res.witness[0])
+
+
+class NotAnswered(Exception):
+    """Raised in place of the sweep bound: the BFS did not answer."""
+
+
+def with_skips(layers, width, p, seed):
+    """A layered graph plus up to three random forward edges, each
+    skipping at least one layer (vertex k·width + i is in layer k)."""
+    inp = gen_layered_dag(layers, width, p, seed)
+    rng = random.Random(seed)
+    n = layers * width
+    edges = list(inp.edges)
+    for _ in range(3 if layers >= 3 else 0):
+        a = rng.randrange(n - 2 * width)
+        edge = (str(a), str(rng.randrange((a // width + 2) * width, n)))
+        if edge not in edges:
+            edges.append(edge)
+    return build_dag(DagBuildInput(edges=edges, isolated=inp.isolated))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "layered", "skips"]),
+    size=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_bfs_engine_exact_where_it_answers(kind, size, p, seed):
+    # random DAGs, layered graphs (size layers of width 2) and layered
+    # graphs with skip edges; the sweep bound is computed only where the
+    # BFS from the stretch witness falls short, so patched to raise it
+    # marks the graphs the BFS does not answer
+    if kind == "random":
+        g = random_dag(2 * size, p, seed)
+    elif kind == "layered":
+        g = build_dag(gen_layered_dag(size, 2, p, seed))
+    else:
+        g = with_skips(size, 2, p, seed)
+    try:
+        with mock.patch("dagmetrics.metrics._sweep_bound", side_effect=NotAnswered):
+            res, counters = diameter(g)
+    except NotAnswered:
+        assert kind != "layered"
+        return
+    assert res == _diameter_from_rows(all_pairs_distances(g)[0])
+    if g.m:
+        assert counters == bfs_engine_counters(g, res.witness[0])
 
 
 def with_random_topo(g, seed):
@@ -386,7 +461,8 @@ def with_random_topo(g, seed):
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_results_independent_of_topological_order(n, p, layered, seed):
-    # layered graphs are balanced, so they take the balanced engine
+    # layered graphs are balanced, so the BFS from the stretch witness
+    # answers them
     g = build_dag(gen_layered_dag(n, 2, p, seed)) if layered else random_dag(n, p, seed)
     h = with_random_topo(g, seed)
     for analysis in (stretch, diameter, all_pairs_distances, _diameter_by_rounds):

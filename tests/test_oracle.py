@@ -381,6 +381,11 @@ class TestOracleLayers:
         for g in (skewed(), gap()):
             assert oracle_layers(g) is None
 
+    def test_no_vertices_has_no_components(self):
+        out = oracle_layers(build_dag(DagBuildInput(edges=[], isolated=[])))
+        assert out == LayerAssignment(layer=[], component_of=[])
+        assert out.components == 0
+
     def test_matches_layer_traversal(self):
         layered = [
             build_dag(gen_layered_dag(layers, width, p, seed))
