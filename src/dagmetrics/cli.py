@@ -312,10 +312,14 @@ def _cmd_gen(args) -> int:
         layers, width = args.layered
         if layers < 1 or width < 1:
             raise _UsageError("--layered needs L >= 1 and W >= 1")
+        if layers * width > sys.maxsize:  # more vertices than a list can hold
+            raise _UsageError(f"--layered needs L*W <= {sys.maxsize}, got {layers * width}")
         inp = oracle.gen_layered_dag(layers, width, args.p, args.seed)
     else:
         if args.n < 0:
             raise _UsageError(f"--n must be >= 0, got {args.n}")
+        if args.n > sys.maxsize:
+            raise _UsageError(f"--n must be <= {sys.maxsize}, got {args.n}")
         inp = oracle.gen_random_dag(args.n, args.p, args.seed)
     # acyclic by construction; only the JSON input counts and the check read
     # the graph, and the edge list alone is printed faster without one

@@ -28,11 +28,12 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple
 
 # Vertices are dense integer indices in [0, n); external labels live in
-# Dag.labels / Dag.index_of.
+# Dag.labels, and Dag.index_of maps them back, built from labels on first read.
 VertexId = int
 
 
@@ -93,15 +94,23 @@ class DagBuildInput:
 
 @dataclass
 class Dag:
-    """Validated acyclic digraph. Treat all fields as read-only."""
+    """Validated acyclic digraph. Treat all fields as read-only.
+
+    Ingest keeps no label map: ``index_of`` is not a field but is built
+    from ``labels`` when first read, since no analysis needs it.
+    """
 
     n: int
     m: int
     out_adj: list[list[VertexId]]  # per vertex, sorted by target index
     in_adj: list[list[VertexId]]  # per vertex, sorted by source index
     labels: list[str]  # index -> external label
-    index_of: dict[str, VertexId]  # external label -> index
     topo: list[VertexId]  # a topological order
+
+    @cached_property
+    def index_of(self) -> dict[str, VertexId]:
+        """External label -> index."""
+        return dict(zip(self.labels, range(self.n)))
 
 
 @dataclass
@@ -170,14 +179,14 @@ def _build(runs: Iterable[Iterable[tuple[str, str]]], isolated: list[str]) -> Da
     """Turn labels into dense ids and fill the adjacency rows edge by edge,
     then add the lone vertices, validate and build the Dag.
 
-    Only the first appearance of each label is kept, as a key of
-    ``index_of``. ``isolated`` is read only after the last edge, so the
-    scanner may fill it while the runs arrive. The first self-loop is
-    recorded, not raised, so that a malformed line later in the input is
-    still the error reported. Errors come in the order self-loop (the
-    first in edge order), duplicate edge (the smallest source, then its
-    smallest target) and cycle (through the smallest vertex the toposort
-    leaves).
+    Only the first appearance of each label is kept, as a key of the
+    interning dict, which is dropped once ``labels`` is taken from it.
+    ``isolated`` is read only after the last edge, so the scanner may
+    fill it while the runs arrive. The first self-loop is recorded, not
+    raised, so that a malformed line later in the input is still the
+    error reported. Errors come in the order self-loop (the first in edge
+    order), duplicate edge (the smallest source, then its smallest
+    target) and cycle (through the smallest vertex the toposort leaves).
     """
     index_of: dict[str, VertexId] = {}
     out_adj: list[list[VertexId]] = []
@@ -205,6 +214,7 @@ def _build(runs: Iterable[Iterable[tuple[str, str]]], isolated: list[str]) -> Da
     out_adj += [[] for _ in range(lone)]
     in_adj += [[] for _ in range(lone)]
     labels = list(index_of)
+    del index_of, get  # the Dag keeps no label map
     if loop is not None:
         raise SelfLoop(labels[loop])
     m = sum(map(len, out_adj))
@@ -218,8 +228,7 @@ def _build(runs: Iterable[Iterable[tuple[str, str]]], isolated: list[str]) -> Da
                 if x == y:
                     raise DuplicateEdge(labels[u], labels[x])
     topo = _toposort(out_adj, in_adj, labels)
-    return Dag(n=len(labels), m=m, out_adj=out_adj, in_adj=in_adj, labels=labels,
-               index_of=index_of, topo=topo)
+    return Dag(n=len(labels), m=m, out_adj=out_adj, in_adj=in_adj, labels=labels, topo=topo)
 
 
 @_collector_paused()

@@ -270,6 +270,10 @@ class TestExitCodes:
         [
             (["--layered", "0", "2"], "--layered needs L >= 1 and W >= 1"),
             (["--n", "-1"], "--n must be >= 0, got -1"),
+            # more vertices than a Python list can hold
+            (["--n", str(10**20)], f"--n must be <= {sys.maxsize}, got {10**20}"),
+            (["--layered", str(10**10), str(10**10)],
+             f"--layered needs L*W <= {sys.maxsize}, got {10**20}"),
         ],
     )
     def test_gen_rejects_bad_size(self, capsys, model, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from unittest import mock
@@ -90,8 +91,7 @@ def reference_build(inp: DagBuildInput) -> Dag:
     for row in in_adj:
         row.sort()
     topo = _toposort(out_adj, in_adj, labels)
-    return Dag(n=len(labels), m=m, out_adj=out_adj, in_adj=in_adj, labels=labels,
-               index_of=index_of, topo=topo)
+    return Dag(n=len(labels), m=m, out_adj=out_adj, in_adj=in_adj, labels=labels, topo=topo)
 
 
 def reference_read(text: str) -> Dag:
@@ -171,6 +171,20 @@ def test_read_dag_index_of_is_a_plain_dict():
     with pytest.raises(KeyError):
         g.index_of["c"]
     assert "c" not in g.index_of and g.n == 2
+
+
+@pytest.mark.parametrize(
+    "make", [read_dag, lambda text: build_dag(parse_edge_list(text))], ids=["read", "build"]
+)
+def test_index_of_is_built_from_labels_on_first_read(make):
+    g = make("b a\nc\na c\n")
+    assert "index_of" not in {f.name for f in dataclasses.fields(Dag)}
+    assert "index_of" not in vars(g)
+    assert g.index_of == dict(zip(g.labels, range(g.n))) == {"b": 0, "a": 1, "c": 2}
+    assert "index_of" in vars(g)
+    h = dataclasses.replace(g, labels=["x", "y", "z"])
+    assert "index_of" not in vars(h)
+    assert h.index_of == {"x": 0, "y": 1, "z": 2}
 
 
 def test_read_dag_peak_memory_within_budget():
