@@ -8,39 +8,47 @@ actually performed; counters are fresh per call.
 * ``all_pairs_distances`` evaluates every vertex and edge once. Each
   edge (p, c) counts 1 + |row of c| distance updates, so there are at
   most |E|*|V|.
-* ``diameter`` is the one engine dispatcher. On a graph with edges it
-  first makes ``stretch``'s reverse-topological pass (``_longest_paths``).
-  Then it runs one of three engines and reports that engine's counters:
+* ``diameter`` chooses between two engines and reports the counters of
+  the one that ran. On a graph with edges it first makes ``stretch``'s
+  reverse-topological pass (``_longest_paths``), giving the stretch S
+  and lp(u), the longest-path length from each vertex. A shortest path
+  is never longer than a longest one, so ecc(u) <= lp(u) and the
+  diameter is at most S. The engines:
 
-  - one BFS from u0, the smallest vertex with lp(u0) = stretch S. No
-    shortest path is longer than a longest one, so diameter <= S, and a
-    pair at distance S must start at a vertex with lp = S, of which u0
-    is the smallest. So if the BFS reaches distance S, the diameter is
-    S and the witness is u0 with the smallest vertex at that distance.
-    That holds in every balanced graph, where every path u -> v has
-    length layer(v) - layer(u), and in every graph of stretch 1. Its
-    counters are the pass plus the BFS: |V| + (vertices visited)
-    vertex evaluations, |E| + (edges scanned) edge examinations and
-    (vertices visited - 1) distance updates, within (stretch+1)*|V| and
-    (stretch+1)*|E| for every stretch >= 1;
-  - otherwise the all-pairs sweep above, with its counters unchanged,
-    or bit-parallel reach rounds, chosen from |V|, |E|, stretch and a
-    bound on the sweep's work (see ``_rounds_pay_off``). The bound takes
-    a pass of its own (``_sweep_bound``), made only here. The rounds
-    take diameter+1 rounds (at most stretch+1, since diameter <=
-    stretch). Each round counts |V| vertex evaluations and |E| edge
+  - the lp-bounded BFS engine: a full BFS from each vertex in (-lp,
+    index) order, stopping at the first u with lp(u) below the best
+    distance found, or equal to it with u greater than the witness's
+    source (eccentricity bounding, with lp as the upper bound). The
+    first BFS is from u0, the smallest vertex with lp(u0) = S. If it
+    reaches distance S, it alone answers: the witness is u0 with the
+    smallest vertex at that distance. That holds in every balanced
+    graph, where every path u -> v has length layer(v) - layer(u), and
+    in every graph of stretch 1. The counters are the pass plus every
+    BFS: |V| + (vertices visited) vertex evaluations, |E| + (edges
+    scanned) edge examinations and (vertices visited - 1) distance
+    updates per BFS. With one BFS that is within (stretch+1)*|V| and
+    (stretch+1)*|E| for every stretch >= 1; with many it can exceed
+    them: on a sparse random DAG of 10^5 vertices, 5*10^5 edges and
+    stretch 33, the engine ran 534 BFS and visited 7.98*10^6 vertices;
+  - bit-parallel reach rounds, taken instead when the first BFS falls
+    short of S and ``_rounds_pay_off`` weighs the rounds below the
+    engine's estimate k*(r0 + e0): k vertices with lp at least the
+    first BFS's distance, times the r0 vertices it visited plus the e0
+    edges it scanned. The rounds take diameter+1 rounds (at most
+    stretch+1). Each round counts |V| vertex evaluations and |E| edge
     examinations, and distance_updates is the number of reachable
     ordered pairs, each of whose distance is set once, by the round
-    that first reaches it. That is at most |E|*|V|.
+    that first reaches it. That is at most |E|*|V|. The rounds report
+    only these counters, not the pass's or the first BFS's.
 
-  Neither the two passes nor a BFS that falls short of S counts toward
-  the sweep or the rounds: their counters are the engine's own.
+  A graph without edges needs neither: diameter 0, counted as |V|
+  vertex evaluations. The all-pairs sweep runs only where its rows are
+  the output (the CLI's ``--all-pairs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from dagmetrics.core import Dag, EmptyGraph, InstrumentationCounters, VertexId
 
@@ -147,91 +155,100 @@ def diameter(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
     """Maximum shortest directed distance over all reachable pairs.
 
     0 with no witness when nothing is reachable; otherwise the witness is
-    the lexicographically smallest (u, v) attaining the maximum. Every
-    engine gives the same result; which one runs shows only in the
+    the lexicographically smallest (u, v) attaining the maximum. Both
+    engines give the same result; which one runs shows only in the
     counters (see the module docstring).
     """
-    if g.m:
-        lp, ve, ee = _longest_paths(g)
-        longest = max(lp)
-        u = lp.index(longest)
-        del lp  # the BFS and the other engines do not read it
-        end, visited, scanned = _far_end(g, u, longest)
-        if end is not None:
-            return DiameterResult(longest, (u, end)), InstrumentationCounters(
-                vertex_evaluations=ve + visited,
-                edge_examinations=ee + scanned,
-                distance_updates=visited - 1,
-            )
-        if _rounds_pay_off(g.n, g.m, longest, _sweep_bound(g)):
-            return _diameter_by_rounds(g)
-    rows, counters = all_pairs_distances(g)
-    return _diameter_from_rows(rows), counters
+    if not g.m:
+        # nothing is reachable: each vertex is looked at once
+        return DiameterResult(0, None), InstrumentationCounters(vertex_evaluations=g.n)
+    return _bounded_bfs(g) or _diameter_by_rounds(g)
 
 
-def _far_end(g: Dag, u: VertexId, dist: int) -> tuple[VertexId | None, int, int]:
-    """The smallest vertex at distance dist from u (None if there is
-    none), and the vertices visited and edges scanned, by a BFS of dist
-    levels.
+def _bounded_bfs(g: Dag) -> tuple[DiameterResult, InstrumentationCounters] | None:
+    """The diameter by a full BFS from each vertex in (-lp, index) order,
+    or None where the reach rounds are expected to cost less.
 
-    A vertex is marked when first reached, so each is visited once. The
-    edges scanned are the out-edges of the visited vertices: when dist
-    is u's longest-path length and a vertex lies at distance dist, it is
-    a sink, so the last level, which the BFS does not expand, has none.
+    ecc(u) <= lp(u), so the search stops at the first u with lp(u) <
+    best, or with lp(u) = best and u greater than the witness's source:
+    neither u nor any later vertex gives a farther pair, or a smaller
+    one at the same distance. The first BFS is from u0 = lp.index(S).
+    If it reaches only distance D0 < S, just the k vertices with lp >=
+    D0 can still win. Only they are sorted, and the rounds are taken
+    instead when they pay off against k times the first BFS's visits
+    plus scans (``_rounds_pay_off``).
+
+    Each BFS costs O(reach): the marks live in one bytearray kept across
+    the runs, and a run clears only the marks it set. Every level is
+    expanded, so a run scans exactly the out-edges of the vertices it
+    visits, and its last level holds the vertices at its eccentricity.
     """
+    lp, ve, ee = _longest_paths(g)
+    longest = max(lp)
     out_adj = g.out_adj
     seen = bytearray(g.n)
-    seen[u] = 1
-    level = [u]
-    for _ in range(dist):
-        nxt = []
-        for v in level:
-            for c in out_adj[v]:
-                if not seen[c]:
-                    seen[c] = 1
-                    nxt.append(c)
-        level = nxt
-    return min(level, default=None), seen.count(1), sum(map(len, compress(out_adj, seen)))
+    best, witness = 0, (0, 0)
+    runs = visited = scanned = 0
+    sources = [lp.index(longest)]
+    for u in sources:  # grows once, after the first run
+        if lp[u] < best or (lp[u] == best and u > witness[0]):
+            break
+        runs += 1
+        seen[u] = 1
+        reached = [u]
+        level = [u]
+        far = -1
+        while level:
+            far += 1
+            last = level
+            level = []
+            for v in last:
+                row = out_adj[v]
+                scanned += len(row)
+                for c in row:
+                    if not seen[c]:
+                        seen[c] = 1
+                        level.append(c)
+            reached += level
+        for v in reached:
+            seen[v] = 0
+        visited += len(reached)
+        if far > best or (far == best and u < witness[0]):
+            best, witness = far, (u, min(last))
+        if runs == 1 and best < longest:
+            order = sorted(
+                (v for v, d in enumerate(lp) if d >= best), key=lp.__getitem__, reverse=True
+            )
+            if _rounds_pay_off(g.n, g.m, longest, len(order) * (visited + scanned)):
+                return None
+            sources += order[1:]
+    return DiameterResult(best, witness), InstrumentationCounters(
+        vertex_evaluations=ve + visited,
+        edge_examinations=ee + scanned,
+        distance_updates=visited - runs,
+    )
 
 
-def _sweep_bound(g: Dag) -> int:
-    """A bound on the sweep's distance updates, in one pass over g.
-
-    The sweep spends 1 + |desc(c)| updates on each edge (p, c). The
-    number of paths leaving a vertex, capped at |V|-1, bounds its
-    descendant count from above and is exact on forests and chains.
-    """
-    cap = g.n - 1
-    out_adj = g.out_adj
-    below = [0] * g.n  # capped path count from v, >= |desc(v)|
-    updates = 0
-    for v in reversed(g.topo):
-        paths = 0
-        for c in out_adj[v]:
-            paths += 1 + below[c]
-        below[v] = paths if paths < cap else cap
-        updates += paths
-    return updates
-
-
-def _rounds_pay_off(n: int, m: int, longest_path: int, sweep_updates: int) -> bool:
-    """Whether reach rounds are expected to beat the all-pairs sweep.
+def _rounds_pay_off(n: int, m: int, longest_path: int, engine_steps: int) -> bool:
+    """Whether reach rounds are expected to beat the BFS engine.
 
     Rounds do (diameter+1)*(|V|+|E|) big-int ORs, and diameter <= stretch.
     Each OR spans ceil(|V|/64) machine words, so on large graphs it costs
-    far more than one sweep update: measured on random DAGs, chains and
+    far more than one dict update: measured on random DAGs, chains and
     grids, an OR cost half to one update up to 100 words and five to
-    seven at 313 words, rounded up here to 1 + words/32. The sweep costs
-    sweep_updates, an upper bound on its distance_updates counter.
+    seven at 313 words, rounded up here to 1 + words/32. A BFS step, one
+    vertex visited or one edge scanned, costs less than an update, so
+    the same constant weighs engine_steps: the k sources that can still
+    win times the visits and scans of the engine's first BFS.
 
-    So the rounds get graphs with many reachable pairs and short longest
-    paths, such as dense random DAGs. The sweep gets long chains, and
-    graphs with few reachable pairs whatever their stretch, such as
-    large sparse ones: there the rounds' |V|^2 bits of reach sets would
-    cost far more time and memory than the sweep's few updates.
+    So the rounds get graphs with many reachable pairs, short longest
+    paths and lp a poor bound on eccentricity, such as dense random DAGs.
+    The engine gets the rest, such as long chains and large sparse
+    graphs: there the rounds' |V|^2 bits of reach sets would cost far
+    more time and memory than a few BFS.
     """
     words = (n + 63) // 64
-    return (longest_path + 1) * (n + m) * (32 + words) <= 32 * sweep_updates
+    return (longest_path + 1) * (n + m) * (32 + words) <= 32 * engine_steps
 
 
 def _diameter_from_rows(rows: DistanceMap) -> DiameterResult:

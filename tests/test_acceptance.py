@@ -109,7 +109,9 @@ def test_c5_complexity_counters(capsys):
                 sres, c = stretch(g)
                 assert c.vertex_evaluations == g.n
                 assert c.edge_examinations == g.m
-                # either diameter engine: at most stretch+1 rounds
+                # the reach rounds run at most stretch+1 times; the BFS
+                # engine makes the pass plus one BFS per source it tries,
+                # which can exceed this off these graphs (see metrics)
                 _, c = diameter(g)
                 assert c.vertex_evaluations <= (sres.stretch + 1) * g.n
                 assert c.edge_examinations <= (sres.stretch + 1) * g.m

@@ -464,11 +464,11 @@ class TestVerify:
         assert json.loads(out)["verified"] is False
 
     def test_diameter_flags_run_at_most_one_sweep(self, capsys, monkeypatch, tmp_path):
-        # a chain with a skip edge takes the sweep, this random DAG the
-        # rounds, and a balanced chain neither; under --all-pairs the
-        # sweep is the one engine on all three, and --verify adds one
-        # oracle BFS per vertex. The oracle's BFS are counted in this
-        # process, which stays exact because every graph here is under
+        # this random DAG takes the rounds, and a chain, balanced or with
+        # a skip edge, the BFS engine; under --all-pairs the sweep is the
+        # one engine on all three, and --verify adds one oracle BFS per
+        # vertex. The oracle's BFS are counted in this process, which
+        # stays exact because every graph here is under
         # oracle.SPLIT_WORK, so no source is dealt to a forked child.
         chain = tmp_path / "chain.txt"
         chain.write_text("".join(f"{i} {i + 1}\n" for i in range(99)))
@@ -492,7 +492,7 @@ class TestVerify:
         counted("metrics._diameter_by_rounds", metrics._diameter_by_rounds)
         counted("oracle._bfs", oracle._bfs)
         for path, n, flags, engines in [
-            (skip, 100, ["--verify"], ["metrics.all_pairs_distances"]),
+            (skip, 100, ["--verify"], []),
             (skip, 100, ["--all-pairs", "--verify"], ["metrics.all_pairs_distances"]),
             (chain, 100, ["--verify"], []),
             (chain, 100, ["--all-pairs", "--verify"], ["metrics.all_pairs_distances"]),

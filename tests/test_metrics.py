@@ -1,7 +1,6 @@
 import dataclasses
 import random
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from dagmetrics import (
     DagBuildInput,
+    DiameterResult,
     EmptyGraph,
     InstrumentationCounters,
     all_pairs_distances,
@@ -27,10 +27,9 @@ from dagmetrics.metrics import (
     _diameter_by_rounds,
     _diameter_from_rows,
     _longest_paths,
-    _rounds_pay_off,
-    _sweep_bound,
 )
 from graphs import (
+    SKEWED,
     analytic_graphs,
     chain,
     corpus_large,
@@ -45,15 +44,28 @@ def random_dag(n, p, seed):
     return build_dag(gen_random_dag(n, p, seed))
 
 
-def bfs_engine_counters(g, u):
-    """The counters of the BFS engine from u: the longest-path pass plus
-    one BFS, its reach read off the oracle's distances from u."""
-    reached = [u, *bfs_distances(g, u)]
+def bfs_engine_counters(g, *sources):
+    """The counters of the BFS engine from sources: the longest-path pass
+    plus one full BFS from each, its reach read off the oracle's
+    distances."""
+    reached = [v for u in sources for v in (u, *bfs_distances(g, u))]
     return InstrumentationCounters(
         vertex_evaluations=g.n + len(reached),
         edge_examinations=g.m + sum(len(g.out_adj[v]) for v in reached),
-        distance_updates=len(reached) - 1,
+        distance_updates=len(reached) - len(sources),
     )
+
+
+def no_sweep_nor_rounds(monkeypatch):
+    """Make the all-pairs sweep and the reach rounds fail if diameter
+    runs either. Only the names in ``metrics`` are patched, so the
+    sweep imported from the package here stays the real one."""
+
+    def no_engine(g):
+        raise AssertionError("sweep or rounds run")
+
+    monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", no_engine)
+    monkeypatch.setattr("dagmetrics.metrics._diameter_by_rounds", no_engine)
 
 
 class TestStretch:
@@ -215,51 +227,79 @@ class TestDiameterEngines:
         assert counters.edge_examinations == 3 * 4
         assert counters.distance_updates == 5
 
-    def test_engine_inputs(self):
-        # chain(n): stretch n-1, and the sweep's updates are exactly the
-        # n(n-1)/2 reachable pairs, so the bound is tight there
-        g = chain(1000)
-        lp, _, _ = _longest_paths(g)
-        assert (max(lp), _sweep_bound(g)) == (999, 999 * 1000 // 2)
-        assert all_pairs_distances(g)[1].distance_updates == 999 * 1000 // 2
+    def test_engine_inputs(self, monkeypatch):
+        # the pass gives stretch's lp, and diameter never runs the sweep;
+        # chain(n) has stretch n-1 and needs no rounds either: one BFS
+        def no_sweep(g):
+            raise AssertionError("sweep run")
+
+        monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", no_sweep)
         for g in list(corpus_small()) + analytic_graphs():
             lp, _, _ = _longest_paths(g)
             assert lp == stretch(g)[0].lp
-            bound = _sweep_bound(g)
-            assert all_pairs_distances(g)[1].distance_updates <= bound <= g.m * g.n
+            assert diameter(g)[0] == _diameter_from_rows(all_pairs_distances(g)[0])
+        no_sweep_nor_rounds(monkeypatch)
+        g = chain(1000)
+        lp, _, _ = _longest_paths(g)
+        assert max(lp) == 999
+        res, counters = diameter(g)
+        assert res.diameter == 999 and counters == bfs_engine_counters(g, 0)
 
-    def test_chain_takes_all_pairs(self):
-        # the skip edge 0 -> 2 unbalances the chain, so the balanced
-        # engine does not apply and the sweep beats the rounds
+    def test_skip_chain_takes_bfs_engine(self, monkeypatch):
+        # the skip edge 0 -> 2 unbalances the chain, so the BFS from 0
+        # reaches only 998 < 999; vertex 1 (lp 998 = best, 1 > 0) stops
+        # the search, so the pass and that one BFS answer it
+        no_sweep_nor_rounds(monkeypatch)
         g = dag_from_edges([(str(i), str(i + 1)) for i in range(999)] + [("0", "2")])
-        assert not _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch, _sweep_bound(g))
         res, counters = diameter(g)
         assert res.diameter == 998 and res.witness == (0, 999)
-        assert counters == all_pairs_distances(g)[1]
+        assert counters == bfs_engine_counters(g, 0)
 
-    def test_dense_random_takes_rounds(self):
+    def test_dense_random_takes_rounds(self, monkeypatch):
+        def no_sweep(g):
+            raise AssertionError("sweep run")
+
+        monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", no_sweep)
         g = random_dag(1200, 0.025, 1)
-        assert _rounds_pay_off(g.n, g.m, stretch(g)[0].stretch, _sweep_bound(g))
         res, counters = diameter(g)
         assert res == _diameter_from_rows(all_pairs_distances(g)[0])
         assert counters.edge_examinations == (res.diameter + 1) * g.m
 
-    def test_large_sparse_stretch_one_takes_bfs(self):
+    def test_large_sparse_stretch_one_takes_bfs(self, monkeypatch):
         # stretch 1 and |E| reachable pairs: the rounds would hold |V|^2
-        # bits for what the sweep does in |E| updates, and the one BFS
-        # from the first edge's tail does it in one
+        # bits, and the one BFS from the first edge's tail answers it
+        no_sweep_nor_rounds(monkeypatch)
         g = dag_from_edges((f"a{i}", f"b{i}") for i in range(20000))
         lp, _, _ = _longest_paths(g)
-        assert (max(lp), _sweep_bound(g)) == (1, 20000)
-        assert not _rounds_pay_off(g.n, g.m, 1, _sweep_bound(g))
+        assert max(lp) == 1
         res, counters = diameter(g)
         assert res.diameter == 1 and res.witness == (0, 1)
         assert counters == InstrumentationCounters(
             vertex_evaluations=g.n + 2, edge_examinations=g.m + 1, distance_updates=1
         )
-        # the sweep would be taken on graphs far too big to build here
-        assert not _rounds_pay_off(10**6, 5 * 10**5, 1, 5 * 10**5)
-        assert not _rounds_pay_off(10**5, 10**5, 10, 10**6)
+
+    def test_unbalanced_grid_takes_two_bfs(self, monkeypatch):
+        # the edge 0 -> 4 skips a layer, so the BFS from 0 reaches only
+        # 19999; vertex 1 also has lp 20000 and reaches 20000, and every
+        # later vertex has lp below that
+        no_sweep_nor_rounds(monkeypatch)
+        inp = gen_layered_dag(20001, 2, 1.0, seed=7)
+        g = build_dag(DagBuildInput(edges=[*inp.edges, ("0", "4")], isolated=inp.isolated))
+        res, counters = diameter(g)
+        assert res.diameter == 20000
+        assert [g.labels[v] for v in res.witness] == ["1", "40000"]
+        assert counters == bfs_engine_counters(g, g.index_of["0"], g.index_of["1"])
+
+    def test_disjoint_skewed_copies_take_bfs_engine(self, monkeypatch):
+        # 4000 of the 6000 vertices have lp >= 1, far more than the
+        # stretch, but each BFS visits three vertices and scans three
+        # edges, so the engine beats the rounds: 2000 BFS, one from each
+        # vertex with lp 2, and the first vertex with lp 1 stops it
+        g = dag_from_edges((f"{a}_{k}", f"{b}_{k}") for k in range(2000) for a, b in SKEWED)
+        no_sweep_nor_rounds(monkeypatch)
+        res, counters = diameter(g)
+        assert res == _diameter_from_rows(all_pairs_distances(g)[0]) == DiameterResult(1, (0, 1))
+        assert counters == bfs_engine_counters(g, *(3 * k for k in range(2000)))
 
     def test_balanced_grid_at_paper_scale(self):
         # 10^6 vertices: the sweep would store about n^2/4 distances
@@ -276,37 +316,35 @@ class TestDiameterEngines:
             distance_updates=reached - 1,
         )
 
-    def test_sweep_bound_only_where_engine_chosen(self, monkeypatch):
-        # the BFS engine needs no bound on the sweep, so its pass runs
-        # only where the rounds and the sweep are weighed, once
-        def no_bound(g):
-            raise AssertionError("sweep bound computed")
+    def test_rule_weighed_only_after_a_miss(self, monkeypatch):
+        # the engine and the rounds are weighed only where the first BFS
+        # falls short of the stretch, once
+        no_sweep_nor_rounds(monkeypatch)
 
-        monkeypatch.setattr("dagmetrics.metrics._sweep_bound", no_bound)
+        def no_rule(*args):
+            raise AssertionError("rounds weighed")
+
+        monkeypatch.setattr("dagmetrics.metrics._rounds_pay_off", no_rule)
         for g in (build_dag(gen_layered_dag(40, 3, 1.0, seed=7)), chain(1000)):
             res, counters = diameter(g)
             assert counters == bfs_engine_counters(g, res.witness[0])
         calls = []
 
-        def counted(g):
-            calls.append(g)
-            return _sweep_bound(g)
+        def counted(*args):
+            calls.append(args)
+            return False
 
-        monkeypatch.setattr("dagmetrics.metrics._sweep_bound", counted)
+        monkeypatch.setattr("dagmetrics.metrics._rounds_pay_off", counted)
         skip = dag_from_edges([(str(i), str(i + 1)) for i in range(999)] + [("0", "2")])
         for g in (skewed(), skip):
             calls.clear()
             diameter(g)
-            assert calls == [g]
+            assert len(calls) == 1
 
     def test_disjoint_edges_take_neither_sweep_nor_rounds(self, monkeypatch):
         # stretch 1: the first edge is a pair at distance 1, and no pair
         # is farther apart, so neither engine that holds rows runs
-        def no_engine(g):
-            raise AssertionError("sweep or rounds run")
-
-        monkeypatch.setattr("dagmetrics.metrics.all_pairs_distances", no_engine)
-        monkeypatch.setattr("dagmetrics.metrics._diameter_by_rounds", no_engine)
+        no_sweep_nor_rounds(monkeypatch)
         g = dag_from_edges((f"a{i}", f"b{i}") for i in range(10**5))
         res, counters = diameter(g)
         assert res.diameter == 1
@@ -316,14 +354,14 @@ class TestDiameterEngines:
         )
 
     def test_empty_graph_skips_stretch(self, monkeypatch):
-        # stretch raises EmptyGraph on n = 0, so the engine choice must
-        # not run there; a graph without edges needs no rounds either
-        def no_choice(g):
-            raise AssertionError("engine choice made")
+        # stretch raises EmptyGraph on n = 0, so the longest-path pass
+        # must not run there; a graph without edges needs no engine
+        def no_pass(g):
+            raise AssertionError("longest-path pass run")
 
-        monkeypatch.setattr("dagmetrics.metrics.stretch", no_choice)
-        monkeypatch.setattr("dagmetrics.metrics._longest_paths", no_choice)
-        monkeypatch.setattr("dagmetrics.metrics._sweep_bound", no_choice)
+        no_sweep_nor_rounds(monkeypatch)
+        monkeypatch.setattr("dagmetrics.metrics.stretch", no_pass)
+        monkeypatch.setattr("dagmetrics.metrics._longest_paths", no_pass)
         for isolated in ([], ["a", "b"]):
             res, _ = diameter(build_dag(DagBuildInput(edges=[], isolated=isolated)))
             assert res.diameter == 0
@@ -335,8 +373,9 @@ class TestDiameterEngines:
 )
 def test_analysis_peak_memory_within_budget(analysis, share):
     # An analysis may hold its per-vertex lists beside the Dag, and
-    # release what it is done with before its next pass: diameter drops
-    # the longest-path list before its BFS.
+    # release what it is done with before its next pass: diameter keeps
+    # the longest-path list, which orders its BFS sources, and one mark
+    # per vertex.
     # Counted in bytes above the built Dag, as a share of the Dag's bytes.
     text = "".join(f"{a} {b}\n" for a, b in gen_layered_dag(10001, 2, 1.0, seed=7).edges)
     was_tracing = tracemalloc.is_tracing()
@@ -368,6 +407,7 @@ def test_diameter_engines_agree(n, p, seed):
     by_rounds, _ = _diameter_by_rounds(g)
     assert by_rounds == by_all_pairs
     assert by_rounds.diameter == oracle_diameter(g)
+    assert diameter(g)[0] == by_all_pairs
 
 
 @settings(max_examples=100, deadline=None)
@@ -385,10 +425,6 @@ def test_balanced_engine_matches_sweep(layers, width, p, seed):
         # layered graphs are balanced, so stretch = diameter and the BFS
         # from the stretch witness ran: the pass plus that BFS
         assert counters == bfs_engine_counters(g, res.witness[0])
-
-
-class NotAnswered(Exception):
-    """Raised in place of the sweep bound: the BFS did not answer."""
 
 
 def with_skips(layers, width, p, seed):
@@ -415,24 +451,22 @@ def with_skips(layers, width, p, seed):
 )
 def test_bfs_engine_exact_where_it_answers(kind, size, p, seed):
     # random DAGs, layered graphs (size layers of width 2) and layered
-    # graphs with skip edges; the sweep bound is computed only where the
-    # BFS from the stretch witness falls short, so patched to raise it
-    # marks the graphs the BFS does not answer
+    # graphs with skip edges; where the BFS from the stretch witness u0
+    # reaches the stretch, it alone answers
     if kind == "random":
         g = random_dag(2 * size, p, seed)
     elif kind == "layered":
         g = build_dag(gen_layered_dag(size, 2, p, seed))
     else:
         g = with_skips(size, 2, p, seed)
-    try:
-        with mock.patch("dagmetrics.metrics._sweep_bound", side_effect=NotAnswered):
-            res, counters = diameter(g)
-    except NotAnswered:
-        assert kind != "layered"
-        return
+    res, counters = diameter(g)
     assert res == _diameter_from_rows(all_pairs_distances(g)[0])
     if g.m:
-        assert counters == bfs_engine_counters(g, res.witness[0])
+        lp, _, _ = _longest_paths(g)
+        if res.diameter == max(lp) and res.witness[0] == lp.index(res.diameter):
+            assert counters == bfs_engine_counters(g, res.witness[0])
+        else:
+            assert kind != "layered"
 
 
 def with_random_topo(g, seed):
