@@ -14,9 +14,12 @@ line with the fixed key order `command, input, result, counters,
 verified`; otherwise text that shows the same facts as `result`,
 rendered from it by the command's text function.
 
-`--verify` compares what the command reports with the matching oracle's
-own answer; no checking logic lives here. Past an oracle's fixed size
-bound, `verified` is null and the text says `skipped (<reason>)`.
+Under --verify, each command hands `_print_report` its comparison with
+the matching oracle's own answer, and no other checking logic lives
+here. The printer runs it once, before the component pass and before
+any report line is written, so a forked oracle child never holds report
+text. Past an oracle's fixed size bound, every command reports the same
+way: `verified` is null and the text says `skipped (<reason>)`.
 """
 
 from __future__ import annotations
@@ -125,18 +128,26 @@ def _plural(n: int, singular: str, plural: str | None = None) -> str:
 
 
 def _print_report(args, g: Dag, result: dict, render,
-                  counters: InstrumentationCounters, verified: bool | None, *,
-                  note: str | None = None, components: int | None = None,
-                  bare: bool = False) -> None:
+                  counters: InstrumentationCounters, check, *,
+                  components: int | None = None, bare: bool = False) -> None:
     """Print the command's one report: a JSON line under --json, else text.
 
+    Under --verify, check() is called first, once, and says whether the
+    report agrees with the oracle; an oracle past its bound (TooLarge)
+    leaves `verified` null, and the text says `skipped (<reason>)`.
     The text is the `graph:` summary line, render(result), and under
-    --verify the `verified:` line (showing `note` when there is no
-    verdict). A `bare` text is output meant as input, an edge list: it
-    has no summary line, and its verdict goes to stderr. `components`
-    is the weak component count when the command's own layering found
-    it; otherwise the summary counts them in a pass of its own.
+    --verify the `verified:` line. A `bare` text is output meant as
+    input, an edge list: it has no summary line, and its verdict goes to
+    stderr. `components` is the weak component count when the command's
+    own layering found it; otherwise the summary counts them in a pass
+    of its own.
     """
+    verified = note = None
+    if args.verify:
+        try:
+            verified = check()
+        except oracle.TooLarge as e:
+            note = f"skipped ({e})"
     if components is None and (args.json or not bare):
         components = len(core.weakly_connected_components(g))
     if args.json:
@@ -155,7 +166,7 @@ def _print_report(args, g: Dag, result: dict, render,
                         f"{_plural(g.m, 'edge')}, "
                         f"{_plural(components, 'component')}")
     if args.verify:
-        verdict = f"verified: {note if verified is None else str(verified).lower()}"
+        verdict = f"verified: {note or str(verified).lower()}"
         if bare:
             _warn(verdict)
         else:
@@ -174,20 +185,14 @@ def _stretch_text(result: dict) -> list[str]:
 def _cmd_stretch(args) -> int:
     g = _load(args.file)
     res, counters = metrics.stretch(g)
-    verified = None
-    note = None
-    if args.verify:
-        try:
-            verified = res.stretch == oracle.oracle_stretch(g)
-        except oracle.TooLarge as e:
-            note = f"skipped ({e})"
     result = {
         "stretch": res.stretch,
         "witness_source": g.labels[res.witness_source],
         "witness_source_index": res.witness_source,
         "lp": dict(zip(g.labels, res.lp)) if args.per_vertex else None,
     }
-    _print_report(args, g, result, _stretch_text, counters, verified, note=note)
+    _print_report(args, g, result, _stretch_text, counters,
+                  lambda: res.stretch == oracle.oracle_stretch(g))
     return 0
 
 
@@ -213,13 +218,6 @@ def _cmd_diameter(args) -> int:
     else:
         res, counters = metrics.diameter(g)
         rows = None
-    verified = None
-    note = None
-    if args.verify:
-        try:
-            verified = (res.diameter, res.witness, rows) == oracle.bfs_diameter(g, args.all_pairs)
-        except oracle.TooLarge as e:
-            note = f"skipped ({e})"
     result = {
         "diameter": res.diameter,
         "witness": None if res.witness is None else [g.labels[v] for v in res.witness],
@@ -230,7 +228,8 @@ def _cmd_diameter(args) -> int:
             else None
         ),
     }
-    _print_report(args, g, result, _diameter_text, counters, verified, note=note)
+    _print_report(args, g, result, _diameter_text, counters,
+                  lambda: (res.diameter, res.witness, rows) == oracle.bfs_diameter(g, args.all_pairs))
     return 0
 
 
@@ -279,13 +278,13 @@ def _cmd_layer(args) -> int:
     algo = layering.layer_pq if args.algo == "pq" else layering.layer_traversal
     outcome, counters = algo(g)
     balanced = isinstance(outcome, LayerAssignment)
-    verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
     result = {
         "balanced": balanced,
         "layers": _layers(g, outcome) if balanced else None,
         "witness": None if balanced else _conflict(g, outcome),
     }
-    _print_report(args, g, result, _layer_text, counters, verified,
+    _print_report(args, g, result, _layer_text, counters,
+                  lambda: (outcome if balanced else None) == oracle.oracle_layers(g),
                   components=outcome.components if balanced else None)
     return 0
 
@@ -294,9 +293,9 @@ def _cmd_check(args) -> int:
     g = _load(args.file)
     outcome, counters = layering.layer_traversal(g)
     balanced = isinstance(outcome, LayerAssignment)
-    verified = (outcome if balanced else None) == oracle.oracle_layers(g) if args.verify else None
     result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
-    _print_report(args, g, result, _check_text, counters, verified,
+    _print_report(args, g, result, _check_text, counters,
+                  lambda: (outcome if balanced else None) == oracle.oracle_layers(g),
                   components=outcome.components if balanced else None)
     return 0 if balanced else 1
 
@@ -324,12 +323,10 @@ def _cmd_gen(args) -> int:
     # acyclic by construction; only the JSON input counts and the check read
     # the graph, and the edge list alone is printed faster without one
     g = core.build_dag(inp) if args.json or args.verify else None
-    verified = None
-    if args.verify:
-        verified = oracle.oracle_graded(g) if args.layered is not None else True
     # the edge pairs are tuples, which JSON writes as arrays
     result = {"edges": inp.edges, "isolated": inp.isolated}
-    _print_report(args, g, result, _gen_text, InstrumentationCounters(), verified, bare=True)
+    _print_report(args, g, result, _gen_text, InstrumentationCounters(),
+                  lambda: args.layered is None or oracle.oracle_graded(g), bare=True)
     return 0
 
 

@@ -165,27 +165,37 @@ def _dealt_farthest(g: Dag, cpus: int) -> tuple[int, tuple[VertexId, VertexId] |
     and one forked child each other share, so the shares' BFS run at
     once. The answer is the largest distance over the shares and the
     smallest of their witnesses at it, which is _farthest's answer over
-    all sources. A child that fails (a nonzero exit, or killed) has its
-    share walked here again, so no answer depends on a child, and every
+    all sources. A share whose pipe or fork fails (EMFILE, EAGAIN,
+    ENOMEM) is walked here, as is the share of a child that fails (a
+    nonzero exit, or killed), so no answer depends on a child, and every
     child is reaped before the call returns or raises.
     """
     shares = [range(k, g.n, cpus) for k in range(cpus)]
+    here = [shares[0]]  # the shares this process walks
     children = []  # (pid, read end of its pipe, share), until reaped
     try:
         for share in shares[1:]:
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:
+                here.append(share)
+                continue
             pipe = open(r, "rb")
             try:
                 pid = os.fork()
                 if pid == 0:
                     _send_farthest(g, share, w)
+            except OSError:
+                pipe.close()
+                here.append(share)
+                continue
             except BaseException:
                 pipe.close()
                 raise
             finally:
                 os.close(w)
             children.append((pid, pipe, share))
-        results = [_farthest(g, shares[0])]
+        results = [_farthest(g, share) for share in here]
         while children:
             pid, pipe, share = children[0]
             with pipe:

@@ -424,6 +424,36 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == "verified: true"
 
+    @pytest.mark.parametrize(
+        "oracle_name,argv,expected_code",
+        [
+            ("oracle_stretch", ["stretch", str(DATA / "diamond.txt")], 0),
+            ("bfs_diameter", ["diameter", str(DATA / "diamond.txt")], 0),
+            ("oracle_layers", ["layer", str(DATA / "diamond.txt")], 0),
+            ("oracle_layers", ["check", str(DATA / "skewed.txt")], 1),
+            ("oracle_graded", ["gen", "--layered", "3", "2", "--p", "1.0", "--seed", "1"], 0),
+        ],
+        ids=["stretch", "diameter", "layer", "check", "gen"],
+    )
+    def test_every_command_reports_a_refusal_the_same_way(
+        self, capsys, monkeypatch, oracle_name, argv, expected_code
+    ):
+        # an oracle past its bound is skipped, whichever command asked;
+        # the check runs before any report line is written
+        from dagmetrics import oracle
+
+        def refuses(*args):
+            assert capsys.readouterr() == ("", "")
+            raise oracle.TooLarge("x")
+
+        monkeypatch.setattr(oracle, oracle_name, refuses)
+        code, out, err = run_cli(capsys, *argv, "--verify")
+        assert code == expected_code
+        assert (err if argv[0] == "gen" else out).endswith("verified: skipped (x)\n")
+        code, out, _ = run_cli(capsys, *argv, "--verify", "--json")
+        assert code == expected_code
+        assert json.loads(out)["verified"] is None
+
     def test_off_by_one_build_flips_verified_false(self, capsys, monkeypatch):
         # simulate a buggy analysis: report every stretch one too large
         from dagmetrics import metrics

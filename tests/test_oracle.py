@@ -2,6 +2,7 @@
 against tiny hand-enumerable graphs and against each other."""
 
 import dataclasses
+import errno
 import os
 import random
 import threading
@@ -306,6 +307,41 @@ class TestSplitBfsDiameter:
                 assert bfs_diameter(g) == expected
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fails", ["pipe", "fork", "second fork"])
+    def test_share_walked_here_when_pipe_or_fork_fails(self, monkeypatch, fails):
+        # a pipe or fork refused by the system (EMFILE, EAGAIN) costs a
+        # child, not the answer; "second fork" mixes a child with a refusal
+        real_pipe, real_fork = os.pipe, os.fork
+        opened = []
+        forks = []
+
+        def pipe():
+            if fails == "pipe":
+                raise OSError(errno.EMFILE, "Too many open files")
+            r, w = real_pipe()
+            opened.extend((r, w))
+            return r, w
+
+        def fork():
+            forks.append(None)
+            if fails == "fork" or len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        # the longest paths start at 3, 4 and 5: in this process's share and in each other one
+        for g in [*map(reversed_chain, (4, 5, 6)), build_dag(gen_random_dag(40, 0.2, 1))]:
+            expected = bfs_diameter(g)
+            forks.clear()
+            with forced_split(3), monkeypatch.context() as patch:
+                patch.setattr(os, "pipe", pipe)
+                patch.setattr(os, "fork", fork)
+                assert bfs_diameter(g) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for fd in opened:  # both ends of every pipe are closed
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     def test_children_reaped_when_this_process_fails(self):
         parent = os.getpid()
