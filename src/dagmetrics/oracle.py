@@ -16,7 +16,8 @@ enumerations past SMALL_GRAPH_BOUND vertices, as path counts grow
 exponentially, and the per-source BFS past BFS_WORK_BOUND on |V|·(|V|+|E|).
 From SPLIT_WORK on that measure, the per-source BFS may deal its sources
 to forked children, one per extra usable CPU; each child runs the same
-BFS and sends back only its farthest distance and witness.
+BFS and packs only its farthest distance and witness into its own slot
+of one shared mapping.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import threading
 from collections import Counter, defaultdict
 from contextlib import suppress
 from itertools import chain, islice
+from mmap import mmap
 from signal import SIGKILL
+from struct import Struct
 from typing import NoReturn
 
 from dagmetrics.core import Dag, DagBuildInput, DagError, VertexId
@@ -36,6 +39,7 @@ from dagmetrics.layering import LayerAssignment
 SMALL_GRAPH_BOUND = 12  # vertices, for the path enumerations
 BFS_WORK_BOUND = 4 * 10**7  # |V|·(|V|+|E|), for the per-source BFS: a few seconds at most
 SPLIT_WORK = 10**6  # |V|·(|V|+|E|) from which the per-source BFS forks: about where a fork pays
+_SLOT = Struct("3q")  # a forked child's answer: far, u, v, with -1, -1 for no witness
 
 
 class TooLarge(DagError):
@@ -142,17 +146,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _send_farthest(g: Dag, sources: range, fd: int) -> NoReturn:
-    """In a forked child: write _farthest's answer as decimal integers to fd, then exit.
+def _send_farthest(g: Dag, sources: range, block: mmap, k: int) -> NoReturn:
+    """In a forked child: pack _farthest's answer into slot k of block, then exit.
 
     Ends in os._exit whatever happens, so the child never returns into
     its parent's code and runs none of its parent's exit handlers; any
-    failure exits 1 with nothing written.
+    failure exits 1, and the parent then reads nothing from the slot.
     """
     code = 1
     try:
         far, witness = _farthest(g, sources)
-        os.write(fd, " ".join(map(str, (far, *(witness or ())))).encode())
+        _SLOT.pack_into(block, k * _SLOT.size, far, *(witness or (-1, -1)))
         code = 0
     finally:
         os._exit(code)
@@ -163,56 +167,50 @@ def _dealt_farthest(g: Dag, cpus: int) -> tuple[int, tuple[VertexId, VertexId] |
 
     Share k holds the sources k, k + cpus, ...: this process walks share 0
     and one forked child each other share, so the shares' BFS run at
-    once. The answer is the largest distance over the shares and the
-    smallest of their witnesses at it, which is _farthest's answer over
-    all sources. A share whose pipe or fork fails (EMFILE, EAGAIN,
-    ENOMEM) is walked here, as is the share of a child that fails (a
-    nonzero exit, or killed), so no answer depends on a child, and every
-    child is reaped before the call returns or raises.
+    once. Each child packs its farthest distance and witness into its own
+    slot of one shared mapping, which this process reads once the child
+    has exited 0. The answer is the largest distance over the shares and
+    the smallest of their witnesses at it, which is _farthest's answer
+    over all sources. A refused mapping walks every share here; a share
+    whose fork fails (EAGAIN, ENOMEM) is walked here, as is the share of
+    a child that fails (a nonzero exit, or killed), so no answer depends
+    on a child, and every child is reaped before the call returns or
+    raises.
     """
+    try:
+        block = mmap(-1, _SLOT.size * cpus)
+    except OSError:
+        return _farthest(g, range(g.n))
     shares = [range(k, g.n, cpus) for k in range(cpus)]
     here = [shares[0]]  # the shares this process walks
-    children = []  # (pid, read end of its pipe, share), until reaped
-    try:
-        for share in shares[1:]:
-            try:
-                r, w = os.pipe()
-            except OSError:
-                here.append(share)
-                continue
-            pipe = open(r, "rb")
-            try:
-                pid = os.fork()
+    children = []  # (pid, k) of the child walking share k, until reaped
+    with block:
+        try:
+            for k in range(1, cpus):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    here.append(shares[k])
+                    continue
                 if pid == 0:
-                    _send_farthest(g, share, w)
-            except OSError:
-                pipe.close()
-                here.append(share)
-                continue
-            except BaseException:
-                pipe.close()
-                raise
-            finally:
-                os.close(w)
-            children.append((pid, pipe, share))
-        results = [_farthest(g, share) for share in here]
-        while children:
-            pid, pipe, share = children[0]
-            with pipe:
-                text = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status == 0:
-                far, *pair = map(int, text.split())
-                results.append((far, tuple(pair) or None))
-            else:
-                results.append(_farthest(g, share))
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+                    _send_farthest(g, shares[k], block, k)
+                children.append((pid, k))
+            results = [_farthest(g, share) for share in here]
+            while children:
+                pid, k = children[0]
+                _, status = os.waitpid(pid, 0)
+                children.pop(0)
+                if status == 0:
+                    # a share that reaches nothing packs 0 and (-1, -1), never picked below
+                    far, *pair = _SLOT.unpack_from(block, k * _SLOT.size)
+                    results.append((far, tuple(pair)))
+                else:
+                    results.append(_farthest(g, shares[k]))
+        finally:
+            for pid, _ in children:
+                with suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
     best = max(far for far, _ in results)
     return best, min(witness for far, witness in results if far == best) if best else None
 
@@ -224,18 +222,21 @@ def bfs_diameter(
 
     The witness is the lexicographically smallest pair at the largest
     distance, and a source that reaches nothing has no row. From
-    SPLIT_WORK on |V|·(|V|+|E|), and without keep_rows, the sources are
-    dealt over the usable CPUs by forked children (_dealt_farthest), with
-    the same answer; the rows stay in this process.
+    SPLIT_WORK on |V|·(|V|+|E|), without keep_rows and with more than
+    one usable CPU, the sources are dealt over the usable CPUs by forked
+    children (_dealt_farthest), each of which packs its farthest distance
+    and witness into its own slot of one shared mapping, with the same
+    answer; the rows stay in this process.
     Raises TooLarge when |V|·(|V|+|E|) is over BFS_WORK_BOUND.
     """
     work = g.n * (g.n + g.m)
     if work > BFS_WORK_BOUND:
         raise TooLarge(f"n*(n+m)={work} exceeds oracle bound {BFS_WORK_BOUND}")
-    if keep_rows:
-        rows: dict[VertexId, dict[VertexId, int]] = {}
+    rows: dict[VertexId, dict[VertexId, int]] | None = {} if keep_rows else None
+    cpus = 1 if keep_rows or work < SPLIT_WORK else _usable_cpus()
+    if cpus == 1:
         return (*_farthest(g, range(g.n), rows), rows)
-    return (*_dealt_farthest(g, _usable_cpus() if work >= SPLIT_WORK else 1), None)
+    return (*_dealt_farthest(g, cpus), None)
 
 
 def oracle_diameter(g: Dag) -> int:

@@ -5,9 +5,10 @@ import dataclasses
 import errno
 import os
 import random
+import signal
 import threading
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from unittest import mock
 
 import pytest
@@ -102,6 +103,13 @@ def counted_forks():
 
     with mock.patch.object(os, "fork", fork):
         yield forks
+
+
+def open_descriptors():
+    """How many descriptors this process holds, or None where /proc/self/fd
+    does not list them (outside Linux)."""
+    with suppress(FileNotFoundError):
+        return len(os.listdir("/proc/self/fd"))
 
 
 def reference_path_lengths(g, u, v):
@@ -308,20 +316,47 @@ class TestSplitBfsDiameter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("fails", ["pipe", "fork", "second fork"])
-    def test_share_walked_here_when_pipe_or_fork_fails(self, monkeypatch, fails):
-        # a pipe or fork refused by the system (EMFILE, EAGAIN) costs a
+    def test_killed_child_share_walked_again(self):
+        parent = os.getpid()
+        real_slot, real_farthest = oracle._SLOT, oracle._farthest
+        walked_here = []
+
+        class KilledAfterPacking:
+            size = real_slot.size
+            unpack_from = real_slot.unpack_from
+
+            def pack_into(self, *args):
+                real_slot.pack_into(*args)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def farthest(g, sources, rows=None):
+            if os.getpid() == parent:
+                walked_here.append(sources)
+            return real_farthest(g, sources, rows)
+
+        # the longest paths start at 3, 4 and 5: in this process's share and in each child's
+        for g in [*map(reversed_chain, (4, 5, 6)), build_dag(gen_random_dag(40, 0.2, 1))]:
+            expected = bfs_diameter(g)
+            walked_here.clear()
+            with forced_split(3), mock.patch.object(oracle, "_SLOT", KilledAfterPacking()), \
+                    mock.patch.object(oracle, "_farthest", farthest):
+                assert bfs_diameter(g) == expected
+            # share 0, then each killed child's share once more
+            assert walked_here == [range(k, g.n, 3) for k in range(3)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fails", ["mapping", "fork", "second fork"])
+    def test_share_walked_here_when_mapping_or_fork_fails(self, monkeypatch, fails):
+        # a mapping or fork refused by the system (ENOMEM, EAGAIN) costs a
         # child, not the answer; "second fork" mixes a child with a refusal
-        real_pipe, real_fork = os.pipe, os.fork
-        opened = []
+        real_mmap, real_fork = oracle.mmap, os.fork
         forks = []
 
-        def pipe():
-            if fails == "pipe":
-                raise OSError(errno.EMFILE, "Too many open files")
-            r, w = real_pipe()
-            opened.extend((r, w))
-            return r, w
+        def mmap(*args):
+            if fails == "mapping":
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            return real_mmap(*args)
 
         def fork():
             forks.append(None)
@@ -329,19 +364,19 @@ class TestSplitBfsDiameter:
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
             return real_fork()
 
+        descriptors = open_descriptors()
         # the longest paths start at 3, 4 and 5: in this process's share and in each other one
         for g in [*map(reversed_chain, (4, 5, 6)), build_dag(gen_random_dag(40, 0.2, 1))]:
             expected = bfs_diameter(g)
             forks.clear()
             with forced_split(3), monkeypatch.context() as patch:
-                patch.setattr(os, "pipe", pipe)
+                patch.setattr(oracle, "mmap", mmap)
                 patch.setattr(os, "fork", fork)
                 assert bfs_diameter(g) == expected
+            assert len(forks) == {"mapping": 0, "fork": 2, "second fork": 2}[fails]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        for fd in opened:  # both ends of every pipe are closed
-            with pytest.raises(OSError):
-                os.fstat(fd)
+        assert open_descriptors() == descriptors
 
     def test_children_reaped_when_this_process_fails(self):
         parent = os.getpid()
@@ -371,8 +406,12 @@ class TestSplitBfsDiameter:
         def no_fork():
             raise AssertionError("forked")
 
+        def no_mapping(*args):
+            raise AssertionError("mapped a slot block")
+
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(oracle, "mmap", no_mapping)
         # n*(n+m) is at most 12*(12+66) = 936 with 12 vertices, far under SPLIT_WORK
         complete = build_dag(gen_random_dag(12, 1.0, 0))
         for g in [*corpus_small(), *analytic_graphs(), complete]:
@@ -382,6 +421,9 @@ class TestSplitBfsDiameter:
         long_chain = chain(1000)
         assert long_chain.n * (long_chain.n + long_chain.m) >= oracle.SPLIT_WORK
         assert bfs_diameter(long_chain, keep_rows=True)[:2] == (999, (0, 999))
+        # with one usable CPU nothing forks, so no slot block is made either
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        assert bfs_diameter(long_chain) == (999, (0, 999), None)
 
     def test_splits_from_split_work_on(self, monkeypatch):
         # the 1000-vertex chain, n*(n+m) = 1 999 000, is over the threshold
