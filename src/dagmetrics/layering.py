@@ -12,8 +12,9 @@ numbered in the order of their smallest vertex, and each is shifted so
 its minimum layer is 0.
 
 The two algorithms differ only in the frontier: ``layer_pq`` takes the
-smallest (label, index) pair from a heap, ``layer_traversal`` the most
-recently labeled vertex from a stack. On conflict each reports the first
+smallest pair from a heap of (label, index) pairs that the kernel builds
+in a plain list with ``heapq``, ``layer_traversal`` the most recently
+labeled vertex from a stack. On conflict each reports the first
 disagreement its frontier meets: the vertex whose label differs from the
 one the edge forces, and that edge.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Union
 
 from dagmetrics.core import Dag, Edge, EmptyGraph, InstrumentationCounters, VertexId
 
@@ -46,21 +46,7 @@ class UnbalancedWitness:
     via_edge: Edge
 
 
-LayeringOutcome = Union[LayerAssignment, UnbalancedWitness]
-
-
-class _LabelHeap(list):
-    """Frontier of ``layer_pq``: yields the vertex with the smallest (label, index)."""
-
-    def __init__(self, label: list[int | None]):
-        super().__init__()
-        self.label = label
-
-    def append(self, v: VertexId) -> None:
-        heapq.heappush(self, (self.label[v], v))
-
-    def pop(self) -> VertexId:
-        return heapq.heappop(self)[1]
+LayeringOutcome = LayerAssignment | UnbalancedWitness
 
 
 def layer_pq(g: Dag) -> tuple[LayeringOutcome, InstrumentationCounters]:
@@ -92,10 +78,22 @@ def _propagate(g: Dag, by_label: bool) -> tuple[LayeringOutcome, Instrumentation
     label: list[int | None] = [None] * g.n
     component_of = [0] * g.n
     lows: list[int] = []  # lowest label of each component
-    frontier = _LabelHeap(label) if by_label else []
+    frontier = []
     push, pop = frontier.append, frontier.pop
+    if by_label:
+
+        def push(v: VertexId) -> None:
+            heapq.heappush(frontier, (label[v], v))
+
+        def pop() -> VertexId:
+            return heapq.heappop(frontier)[1]
+
     ve = 0
     ee = 0
+
+    def counted(outcome: LayeringOutcome) -> tuple[LayeringOutcome, InstrumentationCounters]:
+        return outcome, InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
+
     for seed in range(g.n):
         if label[seed] is not None:
             continue
@@ -117,10 +115,7 @@ def _propagate(g: Dag, by_label: bool) -> tuple[LayeringOutcome, Instrumentation
                     label[p] = want
                     push(p)
                 elif got != want:
-                    counters = InstrumentationCounters(
-                        vertex_evaluations=ve, edge_examinations=ee
-                    )
-                    return UnbalancedWitness(p, got, want, Edge(p, v)), counters
+                    return counted(UnbalancedWitness(p, got, want, Edge(p, v)))
             want = lv + 1
             for c in out_adj[v]:
                 ee += 1
@@ -129,14 +124,10 @@ def _propagate(g: Dag, by_label: bool) -> tuple[LayeringOutcome, Instrumentation
                     label[c] = want
                     push(c)
                 elif got != want:
-                    counters = InstrumentationCounters(
-                        vertex_evaluations=ve, edge_examinations=ee
-                    )
-                    return UnbalancedWitness(c, got, want, Edge(v, c)), counters
+                    return counted(UnbalancedWitness(c, got, want, Edge(v, c)))
         lows.append(low)
-    counters = InstrumentationCounters(vertex_evaluations=ve, edge_examinations=ee)
     layer = [lab - lows[cid] for lab, cid in zip(label, component_of)]
-    return LayerAssignment(layer=layer, component_of=component_of), counters
+    return counted(LayerAssignment(layer=layer, component_of=component_of))
 
 
 def check_balanced(g: Dag) -> tuple[bool, UnbalancedWitness | None]:

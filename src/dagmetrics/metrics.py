@@ -178,15 +178,17 @@ def _bounded_bfs(g: Dag) -> tuple[DiameterResult, InstrumentationCounters] | Non
     instead when they pay off against k times the first BFS's visits
     plus scans (``_rounds_pay_off``).
 
-    Each BFS costs O(reach): the marks live in one bytearray kept across
-    the runs, and a run clears only the marks it set. Every level is
-    expanded, so a run scans exactly the out-edges of the vertices it
-    visits, and its last level holds the vertices at its eccentricity.
+    Each BFS costs O(reach): one list of marks is kept across the runs,
+    and a run marks each vertex it reaches with its run number, so a
+    vertex is reached in the current run iff its mark equals that number,
+    and no mark is ever cleared. Every level is expanded, so a run scans
+    exactly the out-edges of the vertices it visits, and its last level
+    holds the vertices at its eccentricity.
     """
     lp, ve, ee = _longest_paths(g)
     longest = max(lp)
     out_adj = g.out_adj
-    seen = bytearray(g.n)
+    seen = [0] * g.n
     best, witness = 0, (0, 0)
     runs = visited = scanned = 0
     sources = [lp.index(longest)]
@@ -194,25 +196,21 @@ def _bounded_bfs(g: Dag) -> tuple[DiameterResult, InstrumentationCounters] | Non
         if lp[u] < best or (lp[u] == best and u > witness[0]):
             break
         runs += 1
-        seen[u] = 1
-        reached = [u]
+        seen[u] = runs
         level = [u]
         far = -1
         while level:
             far += 1
+            visited += len(level)
             last = level
             level = []
             for v in last:
                 row = out_adj[v]
                 scanned += len(row)
                 for c in row:
-                    if not seen[c]:
-                        seen[c] = 1
+                    if seen[c] != runs:
+                        seen[c] = runs
                         level.append(c)
-            reached += level
-        for v in reached:
-            seen[v] = 0
-        visited += len(reached)
         if far > best or (far == best and u < witness[0]):
             best, witness = far, (u, min(last))
         if runs == 1 and best < longest:

@@ -167,6 +167,17 @@ class TestBalancedGraphs:
             assert counters.edge_examinations <= 2 * g.m
 
 
+def test_pq_at_deep_grid_size():
+    # the 10^5-vertex grid of the deep benchmark: the heap frontier gives
+    # the stack's assignment, popping every vertex once and examining
+    # every edge from both ends
+    g = build_dag(gen_layered_dag(50_001, 2, 1.0, seed=7))
+    out, counters = layer_pq(g)
+    assert isinstance(out, LayerAssignment)
+    assert out == layer_traversal(g)[0]
+    assert counters == InstrumentationCounters(vertex_evaluations=g.n, edge_examinations=2 * g.m)
+
+
 class TestUnbalancedGraphs:
     def test_skewed_pq_witness(self):
         out, counters = layer_pq(skewed())

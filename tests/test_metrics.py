@@ -301,6 +301,20 @@ class TestDiameterEngines:
         assert res == _diameter_from_rows(all_pairs_distances(g)[0]) == DiameterResult(1, (0, 1))
         assert counters == bfs_engine_counters(g, *(3 * k for k in range(2000)))
 
+    def test_overlapping_runs_take_bfs_engine(self, monkeypatch):
+        # a, b and c each lead into the chain c0 -> ... -> c30, so lp = 31,
+        # but each also skips to c2, so each reaches only 29; c0 (lp 30)
+        # then reaches 30, and c1 (lp 29) stops the search. All four BFS
+        # reach the chain, so a mark left by one run would cut the next short
+        chain_edges = [(f"c{i}", f"c{i + 1}") for i in range(30)]
+        g = dag_from_edges([(s, t) for s in "abc" for t in ("c0", "c2")] + chain_edges)
+        no_sweep_nor_rounds(monkeypatch)
+        res, counters = diameter(g)
+        assert res == _diameter_from_rows(all_pairs_distances(g)[0])
+        assert [g.labels[v] for v in res.witness] == ["c0", "c30"]
+        runs = [g.index_of[s] for s in ("a", "b", "c", "c0")]
+        assert counters == bfs_engine_counters(g, *runs)
+
     def test_balanced_grid_at_paper_scale(self):
         # 10^6 vertices: the sweep would store about n^2/4 distances
         g = build_dag(gen_layered_dag(500_001, 2, 1.0, seed=7))

@@ -432,6 +432,14 @@ class TestSplitBfsDiameter:
             assert bfs_diameter(chain(1000)) == (999, (0, 999), None)
         assert len(forks) == 1
 
+    @pytest.mark.skipif(
+        not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+        reason="no fork or affinity call on this platform",
+    )
+    def test_every_usable_cpu_with_one_thread(self):
+        assert threading.active_count() == 1
+        assert oracle._usable_cpus() == len(os.sched_getaffinity(0))
+
     def test_one_process_while_another_thread_runs(self):
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
