@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
 (parse failures, cycles, input that is not UTF-8, a closed stdin, input
-too large for memory), 3 usage errors. A label that stdout cannot
-encode prints with backslash escapes, as on stderr. A stdout closed by
-its reader ends the run quietly with 0. A closed stderr drops the error
+too large for memory), 3 usage errors, 130 an interrupt (SIGINT), with
+one stderr line and no traceback. A label that stdout cannot encode
+prints with backslash escapes, as on stderr. A stdout closed by its
+reader ends the run quietly with 0. A closed stderr drops the error
 message, and a stdout closed before the start drops the report; either
 way the exit code stands.
 
@@ -351,6 +352,9 @@ def run(argv: list[str] | None = None) -> int:
     except MemoryError:
         _warn(f"{args.command}: out of memory")
         return 2
+    except KeyboardInterrupt:
+        _warn(f"{args.command}: interrupted")
+        return 130
     except BrokenPipeError:
         raise  # stdout closed by the reader; main() ends quietly
     except OSError as e:

@@ -34,12 +34,14 @@ actually performed; counters are fresh per call.
     short of S and ``_rounds_pay_off`` weighs the rounds below the
     engine's estimate k*(r0 + e0): k vertices with lp at least the
     first BFS's distance, times the r0 vertices it visited plus the e0
-    edges it scanned. The rounds take diameter+1 rounds (at most
-    stretch+1). Each round counts |V| vertex evaluations and |E| edge
-    examinations, and distance_updates is the number of reachable
-    ordered pairs, each of whose distance is set once, by the round
-    that first reaches it. That is at most |E|*|V|. The rounds report
-    only these counters, not the pass's or the first BFS's.
+    edges it scanned. The rounds hold one list of reach sets, updated in
+    place in topological order, and keep the witness as they go. They
+    take diameter+1 rounds (at most stretch+1). Each round counts |V|
+    vertex evaluations and |E| edge examinations, and distance_updates
+    is the number of reachable ordered pairs, each of whose distance is
+    set once, by the round that first reaches it. That is at most
+    |E|*|V|. The rounds report only these counters, not the pass's or
+    the first BFS's.
 
   A graph without edges needs neither: diameter 0, counted as |V|
   vertex evaluations. The all-pairs sweep runs only where its rows are
@@ -271,40 +273,38 @@ def _diameter_by_rounds(g: Dag) -> tuple[DiameterResult, InstrumentationCounters
 
     Bit v of reach[u] after round k means d(u, v) <= k, with
     R_0(u) = {u} and R_{k+1}(u) = R_k(u) | OR over successors c of R_k(c).
-    Rounds are synchronous (each reads only the previous round), and the
-    first round that changes nothing ends the loop, so the diameter D is
-    the number of rounds that changed something. The pairs at distance
-    exactly D are R_D(u) & ~R_{D-1}(u), and bit order is index order, so
-    the smallest such u and its lowest set bit give the lexicographically
+    One list holds the sets, updated in place in topological order: each
+    successor of u comes later, so it still holds the previous round's
+    set when u reads it, and the rounds stay synchronous. The first round
+    that changes nothing ends the loop, so the diameter D is the number
+    of rounds that changed something. Each round keeps the smallest u
+    whose set changed, with its fresh bits R_k(u) & ~R_{k-1}(u); in round
+    D those are the pairs at distance exactly D, and bit order is index
+    order, so that u and its lowest fresh bit give the lexicographically
     smallest witness.
     """
     out_adj = g.out_adj
     reach = [1 << v for v in range(g.n)]
-    before = reach
     rounds = 0
+    witness: tuple[VertexId, VertexId] | None = None
     while True:
         rounds += 1
-        nxt = []
-        append = nxt.append
-        for u in range(g.n):
-            r = reach[u]
+        first = None
+        for u in g.topo:
+            old = r = reach[u]
             for c in out_adj[u]:
                 r |= reach[c]
-            append(r)
-        if nxt == reach:
+            if r != old:
+                reach[u] = r
+                if first is None or u < first[0]:
+                    first = (u, r & ~old)
+        if first is None:
             break
-        before, reach = reach, nxt
-    best = rounds - 1
-    witness: tuple[VertexId, VertexId] | None = None
-    if best:
-        for u, (now, earlier) in enumerate(zip(reach, before)):
-            fresh = now & ~earlier
-            if fresh:
-                witness = (u, (fresh & -fresh).bit_length() - 1)
-                break
+        u, fresh = first
+        witness = (u, (fresh & -fresh).bit_length() - 1)
     counters = InstrumentationCounters(
         vertex_evaluations=rounds * g.n,
         edge_examinations=rounds * g.m,
         distance_updates=sum(r.bit_count() for r in reach) - g.n,
     )
-    return DiameterResult(diameter=best, witness=witness), counters
+    return DiameterResult(diameter=rounds - 1, witness=witness), counters

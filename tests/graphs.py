@@ -2,8 +2,16 @@
 
 import random
 from functools import cache
+from math import log
 
-from dagmetrics import Dag, DagBuildInput, build_dag, gen_random_dag
+from dagmetrics import (
+    Dag,
+    DagBuildInput,
+    DiameterResult,
+    InstrumentationCounters,
+    build_dag,
+    gen_random_dag,
+)
 
 # Two routes 0->1->3 and 0->2->3 of equal length: balanced, stretch 2.
 DIAMOND = [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")]
@@ -123,3 +131,71 @@ def reference_gen_layered_dag(layers: int, width: int, p: float, seed: int) -> D
             connect(v, base + rng.randrange(width))
     isolated = [names[v] for v in range(n) if not has_in[v] and not has_out[v]]
     return DagBuildInput(edges=edges, isolated=isolated)
+
+
+def reference_diameter_by_rounds(g: Dag) -> tuple[DiameterResult, InstrumentationCounters]:
+    """Three-list reference for metrics._diameter_by_rounds, which must
+    return the same result and counters on every graph: each round
+    builds a new list in index order, and a second pass compares the
+    last two rounds to find the witness."""
+    out_adj = g.out_adj
+    reach = [1 << v for v in range(g.n)]
+    before = reach
+    rounds = 0
+    while True:
+        rounds += 1
+        nxt = []
+        for u in range(g.n):
+            r = reach[u]
+            for c in out_adj[u]:
+                r |= reach[c]
+            nxt.append(r)
+        if nxt == reach:
+            break
+        before, reach = reach, nxt
+    best = rounds - 1
+    witness = None
+    if best:
+        for u, (now, earlier) in enumerate(zip(reach, before)):
+            fresh = now & ~earlier
+            if fresh:
+                witness = (u, (fresh & -fresh).bit_length() - 1)
+                break
+    counters = InstrumentationCounters(
+        vertex_evaluations=rounds * g.n,
+        edge_examinations=rounds * g.m,
+        distance_updates=sum(r.bit_count() for r in reach) - g.n,
+    )
+    return DiameterResult(diameter=best, witness=witness), counters
+
+
+def sparse_edge_text(n: int, p: float, seed: int) -> str:
+    """Edge-list text of a sparse random DAG, for 0 < p < 1, in time
+    linear in n plus its edges rather than in the n^2/2 pairs.
+
+    The vertices 0..n-1 are shuffled, and the forward pairs of that order
+    are walked row by row, jumping from kept pair to kept pair by
+    geometric skips (Batagelj & Brandes 2005), so each pair is kept with
+    probability p. Each kept pair prints as "u v"; the untouched vertices
+    follow in increasing order, one a line.
+    """
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    log_q = log(1 - p)
+    touched = [False] * n
+    lines = []
+    row = start = 0  # row i pairs order[i] with order[i+1:], from position start
+    pos = -1
+    while True:
+        pos += 1 + int(log(1 - rng.random()) / log_q)
+        while row < n - 1 and pos >= start + n - 1 - row:
+            start += n - 1 - row
+            row += 1
+        if row >= n - 1:
+            break
+        u, v = order[row], order[row + 1 + pos - start]
+        touched[u] = touched[v] = True
+        lines.append(f"{u} {v}")
+    lines += [str(v) for v in range(n) if not touched[v]]
+    return "".join(line + "\n" for line in lines)

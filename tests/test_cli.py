@@ -132,6 +132,19 @@ class TestExitCodes:
         assert err == "diameter: out of memory\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch, flags):
+        # SIGINT arrives as KeyboardInterrupt wherever the analysis is
+        def interrupted(g):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("dagmetrics.metrics.diameter", interrupted)
+        code, out, err = run_cli(capsys, "diameter", str(DATA / "diamond.txt"), *flags)
+        assert code == 130
+        assert out == ""
+        assert err == "diameter: interrupted\n"
+        assert "Traceback" not in err
+
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe 1\n")

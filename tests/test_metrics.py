@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -36,6 +37,7 @@ from graphs import (
     corpus_small,
     dag_from_edges,
     diamond,
+    reference_diameter_by_rounds,
     skewed,
 )
 
@@ -409,6 +411,27 @@ def test_analysis_peak_memory_within_budget(analysis, share):
     assert peak - held <= share * (held - base)
 
 
+def test_rounds_peak_memory_one_reach_list():
+    # the rounds update one list of reach sets in place: on wide's
+    # seed-1 graph they peak near one list of |V| full-width sets
+    # (measured 1.03x; three lists peaked at 3.05x)
+    g = random_dag(1200, 0.025, 1)
+    one_list = g.n * sys.getsizeof(1 << (g.n - 1))
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res, _ = _diameter_by_rounds(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert res.diameter == 11
+    assert peak - held <= 1.5 * one_list
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=0, max_value=40),
@@ -481,6 +504,27 @@ def test_bfs_engine_exact_where_it_answers(kind, size, p, seed):
             assert counters == bfs_engine_counters(g, res.witness[0])
         else:
             assert kind != "layered"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "layered", "skips"]),
+    size=st.integers(min_value=0, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_rounds_match_three_list_reference(kind, size, p, seed):
+    # result and all three counters, under the Dag's topological order
+    # and a random one, since the rounds walk g.topo
+    if kind == "random":
+        g = random_dag(3 * size, p, seed)
+    elif kind == "layered":
+        g = build_dag(gen_layered_dag(size + 1, 3, p, seed))
+    else:
+        g = with_skips(size + 1, 3, p, seed)
+    expected = reference_diameter_by_rounds(g)
+    assert _diameter_by_rounds(g) == expected
+    assert _diameter_by_rounds(with_random_topo(g, seed)) == expected
 
 
 def with_random_topo(g, seed):
