@@ -21,12 +21,19 @@ here. The printer runs it once, before the component pass and before
 any report line is written, so a forked oracle child never holds report
 text. Past an oracle's fixed size bound, every command reports the same
 way: `verified` is null and the text says `skipped (<reason>)`.
+
+`main` freezes the heap (`gc.freeze`) just before `sys.exit`, whatever
+the exit code, so the collections of interpreter shutdown skip the
+objects the imports built; shutdown still runs atexit handlers and
+flushes the streams. `run` never freezes: a caller that lives on keeps a
+heap the collector can reach.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -375,6 +382,8 @@ def main() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 0
+    # shutdown's collections would only re-scan what the imports built
+    gc.freeze()
     sys.exit(code)
 
 

@@ -11,7 +11,11 @@ result, is acyclic, so reference counting alone frees it and a
 collection would find nothing. Yet allocation keeps triggering
 collections, and each full one re-scans every adjacency list of the
 Dag: on a 10^5-vertex chain that was about half of ``build_dag`` and
-most of rendering a layering.
+most of rendering a layering. A CLI process also freezes its heap
+before it exits (``cli.main``). By then the Dag and results are freed,
+and shutdown's collections would only re-scan the ~14 000 container
+objects the imports built: after ``stretch --json`` on a 4-vertex
+graph, shutdown took 1.8-2.5 ms, not 7.4-10.7 ms, on Python 3.10-3.13.
 
 There is one ingest path of two functions. ``_scan`` checks the lines
 and yields their edges run by run; ``_build`` pulls the runs, turns the

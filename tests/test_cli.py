@@ -602,9 +602,39 @@ class TestDeterminism:
     ],
 )
 def test_run_restores_collector_state(capsys, collector, argv, expected_code):
+    # only main() freezes the heap: a caller that lives on keeps its
+    # objects within the collector's reach. This process never calls main().
     code, _, _ = run_cli(capsys, *argv)
     assert code == expected_code
     assert gc.isenabled() == collector
+    assert gc.get_freeze_count() == 0
+
+
+# An atexit hook reports whether main() froze the heap. That the hook runs
+# at all shows the exit went through interpreter shutdown, not os._exit.
+_FREEZE_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+from dagmetrics import cli
+cli.main()
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [
+        (["stretch", str(DATA / "diamond.txt")], 0),
+        (["check", str(DATA / "skewed.txt")], 1),
+        (["stretch", str(DATA / "cyclic.txt")], 2),
+        (["gen", "--n", "3", "--p", "2", "--seed", "1"], 3),
+    ],
+)
+def test_main_freezes_the_heap_before_exit(argv, expected_code):
+    plain = subprocess.run([sys.executable, "-m", "dagmetrics", *argv], capture_output=True, timeout=60)
+    probed = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv], capture_output=True, timeout=60)
+    assert plain.returncode == probed.returncode == expected_code
+    assert probed.stdout == plain.stdout
+    assert probed.stderr == plain.stderr + b"True\n"
 
 
 def test_gap_graph_reported_unbalanced(capsys):
