@@ -1,5 +1,9 @@
 """Command-line front end: stretch, diameter, layer, check, gen.
 
+`check` is `layer`'s verdict and conflict witness without the layers,
+always with the traversal frontier (it has no --algo), and exits 1
+when the graph is unbalanced. One command body runs both.
+
 Exit codes: 0 success, 1 unbalanced verdict from `check`, 2 input errors
 (parse failures, cycles, input that is not UTF-8, a closed stdin, input
 too large for memory), 3 usage errors, 130 an interrupt (SIGINT), with
@@ -76,7 +80,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_layer)
 
     p = sub.add_parser("check", parents=[common, graph], help="balanced verdict (exit 1 when unbalanced)")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_layer, algo="traversal")
 
     p = sub.add_parser("gen", parents=[common], help="emit a seeded random DAG as edge-list text")
     group = p.add_mutually_exclusive_group(required=True)
@@ -264,48 +268,36 @@ def _conflict(g: Dag, w: UnbalancedWitness) -> dict:
     }
 
 
-def _check_text(result: dict) -> list[str]:
-    if result["balanced"]:
-        return ["balanced: yes"]
-    w = result["witness"]
-    return [
-        "balanced: no",
-        f"conflict at {w['vertex']}: existing label {w['existing']}, "
-        f"attempted {w['attempted']}, via edge {w['edge'][0]} -> {w['edge'][1]}",
-    ]
-
-
 def _layer_text(result: dict) -> list[str]:
-    # _check_text gives the conflict line; only a balanced result has layers
-    layers = result["layers"] or []
-    return _check_text(result) + [f"layer {k}: " + " ".join(names) for k, names in enumerate(layers)]
+    if result["balanced"]:
+        lines = ["balanced: yes"]
+    else:
+        w = result["witness"]
+        lines = [
+            "balanced: no",
+            f"conflict at {w['vertex']}: existing label {w['existing']}, "
+            f"attempted {w['attempted']}, via edge {w['edge'][0]} -> {w['edge'][1]}",
+        ]
+    # only a balanced `layer` result holds layers; `check`'s has no such key
+    layers = result.get("layers") or []
+    return lines + [f"layer {k}: " + " ".join(names) for k, names in enumerate(layers)]
 
 
 def _cmd_layer(args) -> int:
+    """`layer`, and `check`, which is `layer --algo traversal` without the
+    layers in its result and with exit 1 when unbalanced."""
     g = _load(args.file)
     algo = layering.layer_pq if args.algo == "pq" else layering.layer_traversal
     outcome, counters = algo(g)
     balanced = isinstance(outcome, LayerAssignment)
-    result = {
-        "balanced": balanced,
-        "layers": _layers(g, outcome) if balanced else None,
-        "witness": None if balanced else _conflict(g, outcome),
-    }
+    result = {"balanced": balanced}
+    if args.command == "layer":
+        result["layers"] = _layers(g, outcome) if balanced else None
+    result["witness"] = None if balanced else _conflict(g, outcome)
     _print_report(args, g, result, _layer_text, counters,
                   lambda: (outcome if balanced else None) == oracle.oracle_layers(g),
                   components=outcome.components if balanced else None)
-    return 0
-
-
-def _cmd_check(args) -> int:
-    g = _load(args.file)
-    outcome, counters = layering.layer_traversal(g)
-    balanced = isinstance(outcome, LayerAssignment)
-    result = {"balanced": balanced, "witness": None if balanced else _conflict(g, outcome)}
-    _print_report(args, g, result, _check_text, counters,
-                  lambda: (outcome if balanced else None) == oracle.oracle_layers(g),
-                  components=outcome.components if balanced else None)
-    return 0 if balanced else 1
+    return 1 if args.command == "check" and not balanced else 0
 
 
 def _gen_text(result: dict) -> list[str]:

@@ -4,9 +4,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -89,6 +91,28 @@ class TestGoldenJson:
         assert report["verified"] is None  # no --verify requested
 
 
+# Runs main() with the oracle's BFS split over three processes even on a
+# 4-vertex graph; each process writes its pid to the file named by the
+# first argument, then waits inside the BFS for a signal.
+_INTERRUPT_PROBE = """\
+import os, signal, sys, time
+from dagmetrics import cli, oracle
+# Python's own handler, which it does not install where SIGINT starts ignored
+signal.signal(signal.SIGINT, signal.default_int_handler)
+oracle.SPLIT_WORK = 0
+oracle._usable_cpus = lambda: 3
+farthest = oracle._farthest
+pids = sys.argv.pop(1)
+def waiting(*args):
+    with open(pids, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(60)
+    return farthest(*args)
+oracle._farthest = waiting
+cli.main()
+"""
+
+
 class TestExitCodes:
     def test_cycle_is_input_error(self, capsys):
         code, out, err = run_cli(capsys, "stretch", str(DATA / "cyclic.txt"))
@@ -144,6 +168,33 @@ class TestExitCodes:
         assert out == ""
         assert err == "diameter: interrupted\n"
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_terminal_interrupt_during_forked_oracle(self, tmp_path):
+        # SIGINT to the whole process group, as a terminal's Ctrl-C sends
+        # it, while the parent and two forked children are each inside the
+        # oracle's BFS: one line from the parent, none from a child, and no
+        # process of the group outlives the run
+        pids = tmp_path / "pids"
+        pids.touch()
+        argv = [sys.executable, "-c", _INTERRUPT_PROBE, str(pids),
+                "diameter", str(DATA / "diamond.txt"), "--json", "--verify"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            try:
+                deadline = time.monotonic() + 10
+                while len(pids.read_text().split()) < 3:
+                    assert proc.poll() is None, proc.communicate()
+                    assert time.monotonic() < deadline, "the oracle never ran in three processes"
+                    time.sleep(0.01)
+                os.killpg(proc.pid, signal.SIGINT)
+                out, err = proc.communicate(timeout=30)
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(proc.pid, 0)
+            finally:
+                with suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, out, err) == (130, b"", b"diameter: interrupted\n")
 
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -258,6 +309,11 @@ class TestExitCodes:
         # exit 1 is reserved for the lint-style `check`; `layer` reports
         code, _, _ = run_cli(capsys, "layer", str(DATA / "skewed.txt"))
         assert code == 0
+
+    def test_check_has_no_algo_option(self, capsys):
+        # check runs layer's command body with the traversal frontier fixed
+        code, out, err = run_cli(capsys, "check", str(DATA / "diamond.txt"), "--algo", "pq")
+        assert (code, out, err) == (3, "", "usage error: unrecognized arguments: --algo pq\n")
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate", "x.txt")
@@ -745,7 +801,7 @@ def test_json_runs_no_text_rendering(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("text rendered")
 
-    for name in ["_stretch_text", "_diameter_text", "_layer_text", "_check_text", "_gen_text", "_plural"]:
+    for name in ["_stretch_text", "_diameter_text", "_layer_text", "_gen_text", "_plural"]:
         monkeypatch.setattr(cli, name, forbidden)
     for argv in REPORTS:
         code, out, _ = run_cli(capsys, *argv, "--json")

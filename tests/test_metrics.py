@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,16 @@ from dagmetrics import (
     DiameterResult,
     EmptyGraph,
     InstrumentationCounters,
+    LayerAssignment,
     all_pairs_distances,
     bfs_distances,
     build_dag,
     diameter,
     gen_layered_dag,
     gen_random_dag,
+    layer_pq,
     layer_traversal,
+    metrics,
     oracle_diameter,
     oracle_stretch,
     read_dag,
@@ -506,6 +510,16 @@ def test_bfs_engine_exact_where_it_answers(kind, size, p, seed):
             assert kind != "layered"
 
 
+def drawn_dag(kind, size, p, seed):
+    """A random DAG on 3·size vertices, or size+1 layers of width 3 as
+    drawn ("layered") or with skip edges ("skips")."""
+    if kind == "random":
+        return random_dag(3 * size, p, seed)
+    if kind == "layered":
+        return build_dag(gen_layered_dag(size + 1, 3, p, seed))
+    return with_skips(size + 1, 3, p, seed)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(["random", "layered", "skips"]),
@@ -516,12 +530,7 @@ def test_bfs_engine_exact_where_it_answers(kind, size, p, seed):
 def test_rounds_match_three_list_reference(kind, size, p, seed):
     # result and all three counters, under the Dag's topological order
     # and a random one, since the rounds walk g.topo
-    if kind == "random":
-        g = random_dag(3 * size, p, seed)
-    elif kind == "layered":
-        g = build_dag(gen_layered_dag(size + 1, 3, p, seed))
-    else:
-        g = with_skips(size + 1, 3, p, seed)
+    g = drawn_dag(kind, size, p, seed)
     expected = reference_diameter_by_rounds(g)
     assert _diameter_by_rounds(g) == expected
     assert _diameter_by_rounds(with_random_topo(g, seed)) == expected
@@ -543,6 +552,40 @@ def with_random_topo(g, seed):
             if not indeg[v]:
                 ready.append(v)
     return dataclasses.replace(g, topo=order)
+
+
+def reversed_dag(g):
+    """g with every edge flipped, over the same labels."""
+    edges = [(g.labels[v], g.labels[u]) for u in range(g.n) for v in g.out_adj[u]]
+    isolated = [g.labels[v] for v in range(g.n) if not g.out_adj[v] and not g.in_adj[v]]
+    return dag_from_edges(edges, isolated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "layered", "skips"]),
+    size=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_reversing_every_edge_keeps_every_answer(kind, size, p, seed):
+    # a metamorphic relation: it needs no oracle's answer, only the
+    # oracle's distance to place the reversed witness in g
+    g = drawn_dag(kind, size, p, seed)
+    r = reversed_dag(g)
+    assert stretch(r)[0].stretch == stretch(g)[0].stretch
+    for rounds in (True, False):
+        with mock.patch.object(metrics, "_rounds_pay_off", lambda *args: rounds):
+            d = diameter(g)[0].diameter
+            rres = diameter(r)[0]
+        assert rres.diameter == d
+        if d:
+            a, b = (g.index_of[r.labels[v]] for v in rres.witness)
+            assert bfs_distances(g, b)[a] == d
+        else:
+            assert rres.witness is None
+    balanced = [isinstance(algo(h)[0], LayerAssignment) for algo in (layer_traversal, layer_pq) for h in (g, r)]
+    assert len(set(balanced)) == 1
 
 
 @settings(max_examples=100, deadline=None)
