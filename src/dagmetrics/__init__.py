@@ -45,7 +45,6 @@ from dagmetrics.metrics import (
     stretch,
 )
 from dagmetrics.oracle import (
-    SMALL_GRAPH_BOUND,
     TooLarge,
     bfs_distances,
     enumerate_path_lengths,
@@ -73,7 +72,6 @@ __all__ = [
     "LayerAssignment",
     "LayeringOutcome",
     "MalformedLine",
-    "SMALL_GRAPH_BOUND",
     "SelfLoop",
     "StretchResult",
     "TooLarge",

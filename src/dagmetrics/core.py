@@ -28,13 +28,12 @@ functions with a list of label pairs between them.
 from __future__ import annotations
 
 import gc
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import NamedTuple
 
 # Vertices are dense integer indices in [0, n); external labels live in
 # Dag.labels, and Dag.index_of maps them back, built from labels on first read.
@@ -80,9 +79,8 @@ class EmptyGraph(DagError):
         super().__init__("graph has no vertices")
 
 
-class Edge(NamedTuple):
-    u: VertexId
-    v: VertexId
+# A directed edge u -> v, both VertexId.
+Edge = namedtuple("Edge", "u v")
 
 
 @dataclass

@@ -14,10 +14,12 @@ is iterative, so a long path never meets the recursion limit.
 Each costly oracle raises `TooLarge` past one fixed size bound: the path
 enumerations past SMALL_GRAPH_BOUND vertices, as path counts grow
 exponentially, and the per-source BFS past BFS_WORK_BOUND on |V|·(|V|+|E|).
-From SPLIT_WORK on that measure, the per-source BFS may deal its sources
-to forked children, one per extra usable CPU; each child runs the same
-BFS and packs only its farthest distance and witness into its own slot
-of one shared mapping.
+Both bounds, like SPLIT_WORK, are module constants read at each call, so
+a library run raises one by setting it here, e.g.
+`oracle.SMALL_GRAPH_BOUND = 20`. From SPLIT_WORK on that measure, the
+per-source BFS may deal its sources to forked children, one per extra
+usable CPU; each child runs the same BFS and packs only its farthest
+distance and witness into its own slot of one shared mapping.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from itertools import chain, islice
 from mmap import mmap
 from signal import SIGKILL
 from struct import Struct
-from typing import NoReturn
 
 from dagmetrics.core import Dag, DagBuildInput, DagError, VertexId
 from dagmetrics.layering import LayerAssignment
@@ -46,7 +47,7 @@ class TooLarge(DagError):
     """The graph is past an oracle's bound; the message names what was measured and the bound."""
 
 
-def _path_lengths_from(g: Dag, u: VertexId, bound: int) -> dict[VertexId, Counter]:
+def _path_lengths_from(g: Dag, u: VertexId) -> dict[VertexId, Counter]:
     """Multiset of path lengths u -> v for every v that u reaches, by exhaustive DFS.
 
     Each stack entry is one path from u, as its end vertex and length,
@@ -54,8 +55,8 @@ def _path_lengths_from(g: Dag, u: VertexId, bound: int) -> dict[VertexId, Counte
     applies. The graph is acyclic, so u itself is never reached: only
     nonempty paths count.
     """
-    if g.n > bound:
-        raise TooLarge(f"n={g.n} exceeds oracle bound {bound}")
+    if g.n > SMALL_GRAPH_BOUND:
+        raise TooLarge(f"n={g.n} exceeds oracle bound {SMALL_GRAPH_BOUND}")
     reached: defaultdict[VertexId, Counter] = defaultdict(Counter)
     out_adj = g.out_adj
     stack = [(u, 0)]
@@ -68,16 +69,14 @@ def _path_lengths_from(g: Dag, u: VertexId, bound: int) -> dict[VertexId, Counte
     return reached
 
 
-def enumerate_path_lengths(
-    g: Dag, u: VertexId, v: VertexId, bound: int = SMALL_GRAPH_BOUND
-) -> Counter:
+def enumerate_path_lengths(g: Dag, u: VertexId, v: VertexId) -> Counter:
     """Multiset of lengths of all directed paths u -> v, by exhaustive DFS."""
-    return _path_lengths_from(g, u, bound).get(v, Counter())
+    return _path_lengths_from(g, u).get(v, Counter())
 
 
-def oracle_stretch(g: Dag, bound: int = SMALL_GRAPH_BOUND) -> int:
+def oracle_stretch(g: Dag) -> int:
     """Longest path over all ordered pairs; 0 when nothing is reachable."""
-    walks = (_path_lengths_from(g, u, bound) for u in range(g.n))
+    walks = (_path_lengths_from(g, u) for u in range(g.n))
     return max((max(lengths) for walk in walks for lengths in walk.values()), default=0)
 
 
@@ -146,7 +145,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _send_farthest(g: Dag, sources: range, block: mmap, k: int) -> NoReturn:
+def _send_farthest(g: Dag, sources: range, block: mmap, k: int):
     """In a forked child: pack _farthest's answer into slot k of block, then exit.
 
     Ends in os._exit whatever happens, so the child never returns into
@@ -304,9 +303,9 @@ def oracle_graded(g: Dag) -> bool:
     return oracle_layers(g) is not None
 
 
-def oracle_all_paths_equal(g: Dag, bound: int = SMALL_GRAPH_BOUND) -> bool:
+def oracle_all_paths_equal(g: Dag) -> bool:
     """True iff every ordered pair's paths all have one common length."""
-    walks = (_path_lengths_from(g, u, bound) for u in range(g.n))
+    walks = (_path_lengths_from(g, u) for u in range(g.n))
     return all(len(lengths) == 1 for walk in walks for lengths in walk.values())
 
 

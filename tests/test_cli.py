@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -781,6 +782,62 @@ def test_every_command_reports_the_component_count(tmp_path_factory, model, p, s
         code, out = _run_quiet([*argv, "--json"])
         assert code in (0, 1), argv
         assert json.loads(out)["input"]["components"] == expected, argv
+
+
+def relabeled(value, mapping):
+    """A report's result with every label mapped: labels are its strings
+    and the keys of its per-label objects."""
+    if isinstance(value, str):
+        return mapping[value]
+    if isinstance(value, list):
+        return [relabeled(item, mapping) for item in value]
+    if isinstance(value, dict):
+        return {mapping.get(key, key): relabeled(item, mapping) for key, item in value.items()}
+    return value
+
+
+def with_sorted_layers(report):
+    """The report with each layer's labels sorted, since ``cli._layers``
+    sorts them as strings."""
+    if report["result"].get("layers"):
+        report["result"]["layers"] = [sorted(layer) for layer in report["result"]["layers"]]
+    return report
+
+
+RENAMED = [
+    ["stretch", "--per-vertex"],
+    ["diameter"],
+    ["diameter", "--all-pairs"],
+    ["layer"],
+    ["layer", "--algo", "pq"],
+    ["check"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=GEN_MODELS,
+    p=st.sampled_from(["0.0", "0.2", "0.5", "1.0"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_renaming_labels_maps_every_report(tmp_path_factory, model, p, seed):
+    # a metamorphic relation: ids follow line order, so a one-to-one map
+    # onto fresh labels maps each report and changes nothing else
+    code, text = _run_quiet(["gen", *model, "--p", p, "--seed", str(seed)])
+    assert code == 0
+    labels = build_dag(parse_edge_list(text)).labels
+    fresh = random.Random(seed).sample(range(10**6), len(labels))
+    mapping = {label: f"x{k}" for label, k in zip(labels, fresh)}
+    renamed = "".join(" ".join(map(mapping.get, line.split())) + "\n" for line in text.splitlines())
+    directory = tmp_path_factory.mktemp("renamed")
+    (directory / "g.txt").write_text(text)
+    (directory / "renamed.txt").write_text(renamed)
+    for command, *flags in RENAMED:
+        code, out = _run_quiet([command, str(directory / "g.txt"), *flags, "--json"])
+        renamed_code, renamed_out = _run_quiet([command, str(directory / "renamed.txt"), *flags, "--json"])
+        report = json.loads(out)
+        report["result"] = relabeled(report["result"], mapping)
+        assert (renamed_code, with_sorted_layers(json.loads(renamed_out))) == (code, with_sorted_layers(report))
 
 
 # Every command with --json, in a form that reaches each text line kind.

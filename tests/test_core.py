@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import gc
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -362,3 +364,14 @@ class TestComponents:
 
 def test_empty_graph_error_message():
     assert str(EmptyGraph()) == "graph has no vertices"
+
+
+def test_no_module_imports_typing():
+    # parsed, not read off sys.modules: on 3.13 inspect imports typing
+    # itself, and dataclasses loads inspect
+    for path in Path(core.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                assert "typing" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "typing", path.name

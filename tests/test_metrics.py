@@ -27,6 +27,7 @@ from dagmetrics import (
     oracle_stretch,
     read_dag,
     stretch,
+    weakly_connected_components,
 )
 from dagmetrics.metrics import (
     _diameter_by_rounds,
@@ -586,6 +587,102 @@ def test_reversing_every_edge_keeps_every_answer(kind, size, p, seed):
             assert rres.witness is None
     balanced = [isinstance(algo(h)[0], LayerAssignment) for algo in (layer_traversal, layer_pq) for h in (g, r)]
     assert len(set(balanced)) == 1
+
+
+def edge_lines(g, prefix=""):
+    """g as edge-list lines with every label prefixed: its edges, then its
+    isolated vertices."""
+    lines = [f"{prefix}{g.labels[u]} {prefix}{g.labels[v]}" for u in range(g.n) for v in g.out_adj[u]]
+    return lines + [prefix + g.labels[v] for v in range(g.n) if not g.out_adj[v] and not g.in_adj[v]]
+
+
+def named(g, vertices, prefix=""):
+    """The labels of vertices in g, prefixed; None for no vertices."""
+    return None if vertices is None else [prefix + g.labels[v] for v in vertices]
+
+
+def conflict(g, witness, prefix=""):
+    """An UnbalancedWitness in labels, prefixed."""
+    return (
+        prefix + g.labels[witness.vertex],
+        witness.existing_label,
+        witness.attempted_label,
+        named(g, witness.via_edge, prefix),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "layered", "skips"]),
+    size=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_shuffling_the_lines_keeps_every_answer(kind, size, p, seed):
+    # a metamorphic relation: the same lines in another order number the
+    # vertices anew, and the oracle's distance places the witness in g
+    lines = edge_lines(drawn_dag(kind, size, p, seed))
+    g = read_dag("\n".join(lines))
+    random.Random(seed).shuffle(lines)
+    h = read_dag("\n".join(lines))
+    to_g = [g.index_of[label] for label in h.labels]
+    sres, hres = stretch(g)[0], stretch(h)[0]
+    assert hres.stretch == sres.stretch
+    assert sres.lp[to_g[hres.witness_source]] == sres.stretch
+    assert len(weakly_connected_components(h)) == len(weakly_connected_components(g))
+    for rounds in (True, False):
+        with mock.patch.object(metrics, "_rounds_pay_off", lambda *args: rounds):
+            d = diameter(g)[0].diameter
+            dres = diameter(h)[0]
+        assert dres.diameter == d
+        if d:
+            a, b = (to_g[v] for v in dres.witness)
+            assert bfs_distances(g, a)[b] == d
+        else:
+            assert dres.witness is None
+    for algo in (layer_traversal, layer_pq):
+        want, got = algo(g)[0], algo(h)[0]
+        assert isinstance(got, LayerAssignment) == isinstance(want, LayerAssignment)
+        if isinstance(want, LayerAssignment):
+            assert got.layer == [want.layer[v] for v in to_g]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["random", "layered", "skips"])] * 2),
+    sizes=st.tuples(*[st.integers(min_value=1, max_value=8)] * 2),
+    ps=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_disjoint_union_combines_the_answers(kinds, sizes, ps, seed):
+    # a metamorphic relation: G1's lines, then G2's with every label
+    # prefixed b. Ids follow the edge lines, lone vertices last, so G1's
+    # edges come first and G1 wins every tie
+    parts = [drawn_dag(*args, seed + k) for k, args in enumerate(zip(kinds, sizes, ps))]
+    g1, g2 = (read_dag("\n".join(edge_lines(part))) for part in parts)
+    u = read_dag("\n".join(edge_lines(parts[0]) + edge_lines(parts[1], "b")))
+    assert len(weakly_connected_components(u)) == sum(len(weakly_connected_components(g)) for g in (g1, g2))
+    s1, s2, su = stretch(g1)[0], stretch(g2)[0], stretch(u)[0]
+    g, s, prefix = (g1, s1, "") if s1.stretch >= s2.stretch else (g2, s2, "b")
+    assert su.stretch == s.stretch
+    assert u.labels[su.witness_source] == prefix + g.labels[s.witness_source]
+    for rounds in (True, False):
+        with mock.patch.object(metrics, "_rounds_pay_off", lambda *args: rounds):
+            d1, d2, du = diameter(g1)[0], diameter(g2)[0], diameter(u)[0]
+        g, d, prefix = (g1, d1, "") if d1.diameter >= d2.diameter else (g2, d2, "b")
+        assert du.diameter == d.diameter
+        assert named(u, du.witness) == named(g, d.witness, prefix)
+    for algo in (layer_traversal, layer_pq):
+        o1, o2, ou = algo(g1)[0], algo(g2)[0], algo(u)[0]
+        balanced = [isinstance(o, LayerAssignment) for o in (o1, o2)]
+        assert isinstance(ou, LayerAssignment) == all(balanced)
+        if all(balanced):
+            parts_layers = zip([*g1.labels, *named(g2, range(g2.n), "b")], [*o1.layer, *o2.layer])
+            assert dict(zip(u.labels, ou.layer)) == dict(parts_layers)
+        elif not balanced[0]:
+            assert conflict(u, ou) == conflict(g1, o1)
+        else:
+            assert conflict(u, ou) == conflict(g2, o2, "b")
 
 
 @settings(max_examples=100, deadline=None)

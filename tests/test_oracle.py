@@ -132,10 +132,11 @@ def assert_matches_reference(g):
     """Every pair's multiset, and both oracles, equal reductions over the reference."""
     pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
     reference = {(u, v): reference_path_lengths(g, u, v) for u, v in pairs}
-    for (u, v), lengths in reference.items():
-        assert enumerate_path_lengths(g, u, v, bound=g.n) == lengths, (u, v)
-    assert oracle_stretch(g, bound=g.n) == max((max(c) for c in reference.values() if c), default=0)
-    assert oracle_all_paths_equal(g, bound=g.n) == all(len(c) <= 1 for c in reference.values())
+    with mock.patch.object(oracle, "SMALL_GRAPH_BOUND", g.n):
+        for (u, v), lengths in reference.items():
+            assert enumerate_path_lengths(g, u, v) == lengths, (u, v)
+        assert oracle_stretch(g) == max((max(c) for c in reference.values() if c), default=0)
+        assert oracle_all_paths_equal(g) == all(len(c) <= 1 for c in reference.values())
 
 
 class TestEnumeratePathLengths:
@@ -159,16 +160,29 @@ class TestEnumeratePathLengths:
             enumerate_path_lengths(g, 0, 1)
         assert "13" in str(exc.value) and "12" in str(exc.value)
 
-    def test_bound_overridable(self):
-        g = chain(13)
-        lengths = enumerate_path_lengths(g, 0, 12, bound=20)
+    def test_bound_overridable(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SMALL_GRAPH_BOUND", 20)
+        lengths = enumerate_path_lengths(chain(13), 0, 12)
         assert lengths == {12: 1}
 
-    def test_long_chain_within_recursion_limit(self):
-        # one path of 1499 edges, longer than the default recursion limit
-        assert enumerate_path_lengths(chain(1500), 0, 1499, bound=1500) == Counter({1499: 1})
+    def test_bound_read_at_each_call(self, monkeypatch):
+        # the bound is the module constant at the time of the call, in the
+        # message too: no default froze its value at import
+        g = chain(13)
+        monkeypatch.setattr(oracle, "SMALL_GRAPH_BOUND", 20)
+        assert oracle_stretch(g) == 12
+        assert oracle_all_paths_equal(g)
+        monkeypatch.setattr(oracle, "SMALL_GRAPH_BOUND", 5)
+        for check in (oracle_stretch, oracle_all_paths_equal, lambda g: enumerate_path_lengths(g, 0, 1)):
+            with pytest.raises(TooLarge, match="^n=13 exceeds oracle bound 5$"):
+                check(g)
 
-    def test_every_path_through_shared_vertices(self):
+    def test_long_chain_within_recursion_limit(self, monkeypatch):
+        # one path of 1499 edges, longer than the default recursion limit
+        monkeypatch.setattr(oracle, "SMALL_GRAPH_BOUND", 1500)
+        assert enumerate_path_lengths(chain(1500), 0, 1499) == Counter({1499: 1})
+
+    def test_every_path_through_shared_vertices(self, monkeypatch):
         # five diamonds in series: each path picks one of two routes per
         # diamond, and the merge vertices lie on many paths
         edges = []
@@ -176,7 +190,8 @@ class TestEnumeratePathLengths:
             a, b, c, d = (f"{k}", f"{k}l", f"{k}r", f"{k + 1}")
             edges += [(a, b), (a, c), (b, d), (c, d)]
         g = dag_from_edges(edges)
-        assert enumerate_path_lengths(g, 0, g.index_of["5"], bound=16) == {10: 32}
+        monkeypatch.setattr(oracle, "SMALL_GRAPH_BOUND", 16)
+        assert enumerate_path_lengths(g, 0, g.index_of["5"]) == {10: 32}
 
 
 class TestOneWalkPerSource:
@@ -199,12 +214,13 @@ class TestOneWalkPerSource:
             inp = gen_layered_dag(max(1, size // width), width, p, seed)
         assert_matches_reference(build_dag(inp))
 
-    @pytest.mark.parametrize("oracle", [oracle_stretch, oracle_all_paths_equal])
-    def test_each_source_walked_once(self, oracle):
+    @pytest.mark.parametrize("walk", [oracle_stretch, oracle_all_paths_equal])
+    def test_each_source_walked_once(self, walk, monkeypatch):
         # a walk from vertex i of chain(60) follows 60 - i paths and reads
         # one row per path; one walk per ordered pair would read 71 980
         rows = CountingRows(chain(60).out_adj)
-        oracle(dataclasses.replace(chain(60), out_adj=rows), bound=60)
+        monkeypatch.setattr(oracle, "SMALL_GRAPH_BOUND", 60)
+        walk(dataclasses.replace(chain(60), out_adj=rows))
         assert rows.reads <= 60 * 61 // 2
 
 
