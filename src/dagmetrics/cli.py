@@ -36,7 +36,6 @@ heap the collector can reach.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -167,7 +166,7 @@ def _print_report(args, g: Dag, result: dict, render,
             "command": args.command,
             "input": {"vertices": g.n, "edges": g.m, "components": components},
             "result": result,
-            "counters": dataclasses.asdict(counters),
+            "counters": counters._asdict(),
             "verified": verified,
         }
         print(json.dumps(report, separators=(",", ":")))
@@ -230,12 +229,13 @@ def _cmd_diameter(args) -> int:
     else:
         res, counters = metrics.diameter(g)
         rows = None
+    labels = g.labels
     result = {
         "diameter": res.diameter,
-        "witness": None if res.witness is None else [g.labels[v] for v in res.witness],
+        "witness": None if res.witness is None else [labels[v] for v in res.witness],
         "witness_indices": None if res.witness is None else list(res.witness),
         "distances": (
-            {g.labels[u]: {g.labels[v]: rows[u][v] for v in sorted(rows[u])} for u in sorted(rows)}
+            {labels[u]: {labels[v]: rows[u][v] for v in sorted(rows[u])} for u in sorted(rows)}
             if args.all_pairs
             else None
         ),

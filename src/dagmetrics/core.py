@@ -1,7 +1,9 @@
 """Immutable DAG construction and structural queries.
 
 Graphs arrive as labeled edge lists; vertices get dense integer indices
-in first-appearance order so every downstream report is reproducible.
+in order of first appearance on an edge line, then the labels seen only
+on lone-vertex lines in line order, so every downstream report is
+reproducible: ``c`` then ``a b`` gives ``a`` 0, ``b`` 1 and ``c`` 2.
 Adjacency lists are kept sorted by target index, which pins traversal
 order (and therefore every witness) across runs and platforms.
 
@@ -13,7 +15,7 @@ collections, and each full one re-scans every adjacency list of the
 Dag: on a 10^5-vertex chain that was about half of ``build_dag`` and
 most of rendering a layering. A CLI process also freezes its heap
 before it exits (``cli.main``). By then the Dag and results are freed,
-and shutdown's collections would only re-scan the ~14 000 container
+and shutdown's collections would only re-scan the ~12 900 container
 objects the imports built: after ``stretch --json`` on a 4-vertex
 graph, shutdown took 1.8-2.5 ms, not 7.4-10.7 ms, on Python 3.10-3.13.
 
@@ -31,7 +33,6 @@ import gc
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -83,31 +84,22 @@ class EmptyGraph(DagError):
 Edge = namedtuple("Edge", "u v")
 
 
-@dataclass
-class DagBuildInput:
-    """Labeled edges plus vertices declared without incident edges.
-
-    Labels must be non-empty strings containing no whitespace.
-    """
-
-    edges: list[tuple[str, str]] = field(default_factory=list)
-    isolated: list[str] = field(default_factory=list)
+# Labeled edges, as (FROM, TO) pairs, plus vertices declared without
+# incident edges, both lists. Labels are non-empty strings with no
+# whitespace. Neither field has a default: a namedtuple default is one
+# list, shared by every input that takes it.
+DagBuildInput = namedtuple("DagBuildInput", "edges isolated")
 
 
-@dataclass
-class Dag:
+class Dag(namedtuple("Dag", "n m out_adj in_adj labels topo")):
     """Validated acyclic digraph. Treat all fields as read-only.
 
-    Ingest keeps no label map: ``index_of`` is not a field but is built
-    from ``labels`` when first read, since no analysis needs it.
+    ``out_adj[v]`` is sorted by target index and ``in_adj[v]`` by source
+    index, ``labels`` maps index -> external label and ``topo`` is a
+    topological order. Ingest keeps no label map: ``index_of`` is not a
+    field but is built from ``labels`` when first read, since no
+    analysis needs it.
     """
-
-    n: int
-    m: int
-    out_adj: list[list[VertexId]]  # per vertex, sorted by target index
-    in_adj: list[list[VertexId]]  # per vertex, sorted by source index
-    labels: list[str]  # index -> external label
-    topo: list[VertexId]  # a topological order
 
     @cached_property
     def index_of(self) -> dict[str, VertexId]:
@@ -115,13 +107,12 @@ class Dag:
         return dict(zip(self.labels, range(self.n)))
 
 
-@dataclass
-class InstrumentationCounters:
-    """Work one analysis call performed; each call returns fresh counters."""
-
-    vertex_evaluations: int = 0
-    edge_examinations: int = 0
-    distance_updates: int = 0
+# Work one analysis call performed; each call returns fresh counters.
+InstrumentationCounters = namedtuple(
+    "InstrumentationCounters",
+    "vertex_evaluations edge_examinations distance_updates",
+    defaults=(0, 0, 0),
+)
 
 
 @contextmanager
@@ -259,7 +250,8 @@ def parse_edge_list(text: str) -> DagBuildInput:
 
 @_collector_paused()
 def build_dag(inp: DagBuildInput) -> Dag:
-    """Build and validate a Dag, assigning indices in first-appearance order.
+    """Build and validate a Dag: labels get indices in order of first
+    appearance in ``inp.edges``, then the rest of ``inp.isolated`` in order.
 
     Raises SelfLoop, DuplicateEdge, or CycleDetected on invalid input; a
     Dag is returned only when a full topological order exists.

@@ -22,15 +22,16 @@ one the edge forces, and that edge.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from dagmetrics.core import Dag, Edge, EmptyGraph, InstrumentationCounters, VertexId
 
 
-@dataclass
-class LayerAssignment:
-    layer: list[int]  # layer[v] = layer[u] + 1 on every edge (u, v)
-    component_of: list[int]  # weak component ids 0, 1, ... by smallest vertex
+class LayerAssignment(namedtuple("LayerAssignment", "layer component_of")):
+    """layer[v] = layer[u] + 1 on every edge (u, v); component_of holds
+    weak component ids 0, 1, ... numbered by smallest vertex."""
+
+    __slots__ = ()
 
     @property
     def components(self) -> int:
@@ -38,13 +39,9 @@ class LayerAssignment:
         return max(self.component_of, default=-1) + 1
 
 
-@dataclass
-class UnbalancedWitness:
-    vertex: VertexId
-    existing_label: int
-    attempted_label: int
-    via_edge: Edge
-
+# The first disagreement a frontier met: vertex already has
+# existing_label, and via_edge forces attempted_label on it.
+UnbalancedWitness = namedtuple("UnbalancedWitness", "vertex existing_label attempted_label via_edge")
 
 LayeringOutcome = LayerAssignment | UnbalancedWitness
 

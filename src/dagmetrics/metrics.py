@@ -50,7 +50,7 @@ actually performed; counters are fresh per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from dagmetrics.core import Dag, EmptyGraph, InstrumentationCounters, VertexId
 
@@ -60,19 +60,13 @@ from dagmetrics.core import Dag, EmptyGraph, InstrumentationCounters, VertexId
 DistanceMap = dict[int, dict[int, int]]
 
 
-@dataclass
-class StretchResult:
-    """Per-vertex longest-path-from lengths and the global maximum."""
+# Per-vertex longest-path-from lengths and the global maximum: lp[v] is
+# the longest directed path starting at v, in edges, and witness_source
+# the smallest-index vertex with lp == stretch.
+StretchResult = namedtuple("StretchResult", "lp stretch witness_source")
 
-    lp: list[int]  # lp[v] = longest directed path starting at v, in edges
-    stretch: int
-    witness_source: VertexId  # smallest-index vertex with lp == stretch
-
-
-@dataclass
-class DiameterResult:
-    diameter: int
-    witness: tuple[VertexId, VertexId] | None  # lexicographically smallest
+# witness: the lexicographically smallest pair at the diameter, or None.
+DiameterResult = namedtuple("DiameterResult", "diameter witness")
 
 
 def stretch(g: Dag) -> tuple[StretchResult, InstrumentationCounters]:
@@ -130,9 +124,10 @@ def all_pairs_distances(g: Dag) -> tuple[DistanceMap, InstrumentationCounters]:
     du = 0
     big = g.n + 1  # larger than any possible distance
     no_row: dict[int, int] = {}  # sinks have no row
+    out_adj = g.out_adj
     for p in reversed(g.topo):
         ve += 1
-        succs = g.out_adj[p]
+        succs = out_adj[p]
         if not succs:
             continue
         ee += len(succs)

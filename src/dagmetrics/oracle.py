@@ -270,8 +270,8 @@ def oracle_layers(g: Dag) -> LayerAssignment | None:
             offset[node] = acc
         return x
 
-    for u in range(g.n):
-        for v in g.out_adj[u]:
+    for u, row in enumerate(g.out_adj):
+        for v in row:
             ru = find(u)
             rv = find(v)
             du, dv = offset[u], offset[v]

@@ -1,6 +1,7 @@
 import ast
-import dataclasses
 import gc
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -180,11 +181,11 @@ def test_read_dag_index_of_is_a_plain_dict():
 )
 def test_index_of_is_built_from_labels_on_first_read(make):
     g = make("b a\nc\na c\n")
-    assert "index_of" not in {f.name for f in dataclasses.fields(Dag)}
+    assert "index_of" not in Dag._fields
     assert "index_of" not in vars(g)
     assert g.index_of == dict(zip(g.labels, range(g.n))) == {"b": 0, "a": 1, "c": 2}
     assert "index_of" in vars(g)
-    h = dataclasses.replace(g, labels=["x", "y", "z"])
+    h = g._replace(labels=["x", "y", "z"])
     assert "index_of" not in vars(h)
     assert h.index_of == {"x": 0, "y": 1, "z": 2}
 
@@ -281,6 +282,13 @@ class TestBuildDag:
         assert g.n == 3 and g.m == 1
         assert g.out_adj[2] == [] and g.in_adj[2] == []
 
+    def test_lone_vertex_lines_get_ids_after_the_last_edge(self):
+        # c is the first label in the text, yet its line declares a lone
+        # vertex, so it is interned only after every edge
+        text = "c\na b\n"
+        assert read_dag(text).labels == ["a", "b", "c"]
+        assert build_dag(parse_edge_list(text)).labels == ["a", "b", "c"]
+
     def test_isolated_duplicate_of_edge_vertex_ignored(self):
         g = build_dag(DagBuildInput(edges=[("a", "b")], isolated=["a"]))
         assert g.n == 2
@@ -367,11 +375,24 @@ def test_empty_graph_error_message():
 
 
 def test_no_module_imports_typing():
-    # parsed, not read off sys.modules: on 3.13 inspect imports typing
-    # itself, and dataclasses loads inspect
+    # parsed, not read off sys.modules, so the module that names the import
+    # is the one that fails; the test below checks what the CLI import loads
     for path in Path(core.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                assert "typing" not in [alias.name for alias in node.names], path.name
+                for alias in node.names:
+                    assert alias.name not in ("dataclasses", "typing"), path.name
             elif isinstance(node, ast.ImportFrom):
-                assert node.module != "typing", path.name
+                assert node.module not in ("dataclasses", "typing"), path.name
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S skips site, which may import typing itself (through certifi, say),
+    # so the package directory goes on sys.path by hand
+    src = str(Path(core.__file__).parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import dagmetrics.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr

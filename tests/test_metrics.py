@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 import tracemalloc
@@ -552,7 +551,7 @@ def with_random_topo(g, seed):
             indeg[v] -= 1
             if not indeg[v]:
                 ready.append(v)
-    return dataclasses.replace(g, topo=order)
+    return g._replace(topo=order)
 
 
 def reversed_dag(g):
